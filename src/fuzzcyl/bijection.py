@@ -227,14 +227,16 @@ def _poincare_forward(h: float, u):
     u = np.asarray(u, dtype=float)
     t = u - 1.0
     rad = 1.0 + h * t - 0.25 * h * h * t * t
-    return 1.0 - 2.0 / h + (2.0 / h) * np.sqrt(rad)
+    # 1 + (2/h)(sqrt(rad) - 1) with sqrt(rad) - 1 = (rad - 1)/(1 + sqrt(rad)):
+    # no difference of nearly equal terms, so no cancellation as h -> 0
+    return 1.0 + 2.0 * t * (1.0 - 0.25 * h * t) / (1.0 + np.sqrt(rad))
 
 
 def _poincare_inverse(h: float, x):
     x = np.asarray(x, dtype=float)
     t = 1.0 - x
     rad = 1.0 + h * t - 0.25 * h * h * t * t
-    return 1.0 + 2.0 / h - (2.0 / h) * np.sqrt(rad)
+    return 1.0 - 2.0 * t * (1.0 - 0.25 * h * t) / (1.0 + np.sqrt(rad))
 
 
 _RAW_MAPS: dict[str, tuple] = {

@@ -8,12 +8,13 @@ interval implementation sampled on compatible grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .bijection import SemigroupElement
+from .represent import add_step_term, build_orbit
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,15 @@ class FiniteCrossedProduct:
     def __init__(self, alpha: FinitePartialBijection):
         self.alpha = alpha
         self.M = alpha.M
-        self._pow: dict[int, FinitePartialBijection] = {}
+        self._inverse = alpha.inverted()
+        self._pow: dict[int, FinitePartialBijection] = {0: FinitePartialBijection.identity(self.M)}
 
     def power(self, n: int) -> FinitePartialBijection:
-        if n not in self._pow:
-            self._pow[n] = self.alpha.power(n)
+        """n-th power; each missing power is one composition with the power next to it toward 0."""
+        sign, step = (1, self.alpha) if n > 0 else (-1, self._inverse)
+        for k in range(sign, n + sign, sign):
+            if k not in self._pow:
+                self._pow[k] = step.compose(self._pow[k - sign])
         return self._pow[n]
 
     def level_set(self, n: int) -> frozenset[int]:
@@ -226,17 +231,23 @@ class FiniteAlgebraElement:
 
 @dataclass
 class FiniteOrbitRep:
+    """An orbit of the table; succ[i] is the orbit index of the image of points[i], or -1."""
+
     points: list[int]
     index: dict[int, int]
-    V: np.ndarray
-    Vstar: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.Vstar = self.V.T.conj()
+    succ: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.points)
+
+    @property
+    def V(self) -> np.ndarray:
+        return add_step_term(np.zeros((self.dim, self.dim), complex), self.succ, 1, np.ones(self.dim))
+
+    @property
+    def Vstar(self) -> np.ndarray:
+        return self.V.T.conj()
 
 
 def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
@@ -265,24 +276,18 @@ def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
 def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> FiniteOrbitRep:
     pts = finite_orbit(alpha, base)
     idx = {p: i for i, p in enumerate(pts)}
-    V = np.zeros((len(pts), len(pts)), complex)
-    for p in pts:
-        q = alpha.mapping.get(p)
-        if q is not None and q in idx:
-            V[idx[q], idx[p]] = 1.0
-    return FiniteOrbitRep(pts, idx, V)
+    succ = np.array([idx.get(alpha.mapping.get(p), -1) for p in pts], dtype=int)
+    return FiniteOrbitRep(pts, idx, succ)
 
 
 def oracle_represent(x: FiniteAlgebraElement, rep: FiniteOrbitRep) -> np.ndarray:
-    alg = x.algebra
+    """Scatter each coefficient along its step's index map, as represent does on interval orbits."""
     out = np.zeros((rep.dim, rep.dim), complex)
     for n, vec in x.terms.items():
-        diag = np.diag([vec[p] for p in rep.points])
-        if n >= 0:
-            Vn = np.linalg.matrix_power(rep.V, n)
-        else:
-            Vn = np.linalg.matrix_power(rep.Vstar, -n)
-        out += diag @ Vn
+        s = np.arange(rep.dim)
+        for _ in range(abs(n)):
+            s = np.where(s >= 0, rep.succ[s], -1)
+        add_step_term(out, s, n, vec[rep.points])
     return out
 
 
@@ -319,8 +324,6 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
 
     Returns (finite_algebra, points, report).
     """
-    from .represent import build_orbit
-
     alpha = algebra.alpha
     orbit = build_orbit(alpha, base_point, truncation)
     points = np.asarray(orbit.points, dtype=float)

@@ -2,10 +2,14 @@
 
 The basis is an orbit of one or more base points, walked in both directions
 until the bijection runs out of domain or a truncation budget is spent. The
-step element maps to the 0/1 chain matrix V; coefficients map to diagonal
-evaluations. On full orbits this is an exact *-homomorphism; on truncated
-windows the outermost indices of each cut side see wrong projections, so the
-covariance checks exclude a strip as deep as the step being tested.
+step element is kept as an index map: succ[j] is the window index of the
+image of point j under the bijection, or -1. V^n sends basis vector j to the
+index n steps along succ, so an element's matrix scatters each sampled
+coefficient along its step's map, and dense 0/1 matrices of V and its powers
+are built only on request. On full orbits this is an exact *-homomorphism; on
+truncated windows the outermost indices of each cut side see wrong
+projections, so the covariance checks exclude a strip as deep as the step
+being tested.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ class OrbitChain:
 
 @dataclass
 class OrbitSpec:
-    """A finite window of orbit points, in chain order."""
+    """A finite window of orbit points, in chain order.
+
+    succ[j] is the window index of alpha(points[j]), or -1 where that image
+    is undefined or lies outside the window.
+    """
 
     alpha: PartialBijection
     points: np.ndarray
     base_points: tuple[float, ...]
     truncation: int
+    succ: np.ndarray
     chains: list[OrbitChain] = field(default_factory=list)
 
     @property
@@ -62,37 +71,37 @@ class OrbitSpec:
         return self._base_offset()[1]
 
     def _base_offset(self) -> tuple[int, int]:
-        key = _point_key(float(self.base_points[0]))
+        base = int(np.flatnonzero(self.points == self.base_points[0])[0])
         for chain in self.chains:
-            keys = [_point_key(float(self.points[i])) for i in chain.indices]
-            if key in keys:
-                pos = keys.index(key)
+            if base in chain.indices:
+                pos = chain.indices.index(base)
                 return pos, len(chain.indices) - 1 - pos
         return 0, 0
 
 
-def _walk(alpha: PartialBijection, x0: float, budget: int) -> tuple[list[float], list[float]]:
-    fwd: list[float] = []
+def _walk(step, defined, x0: float, budget: int) -> tuple[list[float], bool]:
+    """Up to `budget` successive images of x0 under `step`, while `defined` holds.
+
+    The flag is set when the walk stopped at a point that `step` fixes.
+    """
+    out: list[float] = []
     y = x0
-    while len(fwd) < budget and alpha.domain.contains(y, DEFAULT_TOL):
-        ny = float(alpha.apply(np.asarray(y, dtype=float)))
+    while len(out) < budget and defined(y, DEFAULT_TOL):
+        ny = float(step(np.asarray(y, dtype=float)))
         if ny == y:
-            break  # interior fixed point: the orbit is a single point
-        fwd.append(ny)
+            return out, True
+        out.append(ny)
         y = ny
-    back: list[float] = []
-    y = x0
-    while len(back) < budget and alpha.range.contains(y, DEFAULT_TOL):
-        py = float(alpha.apply_inverse(np.asarray(y, dtype=float)))
-        if py == y:
-            break
-        back.append(py)
-        y = py
-    return back, fwd
+    return out, False
 
 
 def build_orbit(alpha: PartialBijection, base_point, truncation: int = 64) -> OrbitSpec:
-    """Orbit window through one base point or several (merged, deduplicated)."""
+    """Orbit window through one base point or several (merged, deduplicated).
+
+    Links between window points come from positions along each base point's
+    walk. Rounded keys only decide which points of different walks are the
+    same point, including the point one step past either end of a window.
+    """
     if truncation < 1:
         raise ValueError("truncation budget must be at least 1")
     bases = [float(b) for b in (base_point if isinstance(base_point, (list, tuple, np.ndarray)) else [base_point])]
@@ -102,26 +111,46 @@ def build_orbit(alpha: PartialBijection, base_point, truncation: int = 64) -> Or
         if not alpha.carrier.contains(b, DEFAULT_TOL):
             raise ValueError(f"base point {b} is outside the carrier {alpha.carrier}")
 
-    seen: dict[int, float] = {}
+    index: dict[int, int] = {}
     ordered: list[float] = []
-    for b in bases:
-        back, fwd = _walk(alpha, b, truncation)
-        kb, kf = _centered_window(len(back), len(fwd), truncation)
-        chain = list(reversed(back[:kb])) + [b] + fwd[:kf]
-        for p in chain:
-            k = _point_key(p)
-            if k not in seen:
-                seen[k] = p
-                ordered.append(p)
 
-    spec = OrbitSpec(
+    def window_index(p: float) -> int:
+        k = _point_key(p)
+        if k not in index:
+            index[k] = len(ordered)
+            ordered.append(p)
+        return index[k]
+
+    walks = []  # window indices of each walk, and the points one step before and after its window
+    for b in bases:
+        fwd, fwd_fixed = _walk(alpha.apply, alpha.domain.contains, b, truncation)
+        back, back_fixed = _walk(alpha.apply_inverse, alpha.range.contains, b, truncation)
+        kb, kf = _centered_window(len(back), len(fwd), truncation)
+        walk = list(reversed(back)) + [b] + fwd
+        lo, hi = len(back) - kb, len(back) + 1 + kf
+        before = walk[lo - 1] if lo > 0 else walk[0] if back_fixed else None
+        after = walk[hi] if hi < len(walk) else walk[-1] if fwd_fixed else None
+        walks.append(([window_index(p) for p in walk[lo:hi]], before, after))
+
+    def found(p: float | None) -> int:
+        return -1 if p is None else index.get(_point_key(p), -1)
+
+    links = [link for ids, _, _ in walks for link in zip(ids[:-1], ids[1:])]
+    links += [(ids[-1], found(after)) for ids, _, after in walks]
+    links += [(found(before), ids[0]) for ids, before, _ in walks]
+    succ = np.full(len(ordered), -1, dtype=int)
+    for src, dst in reversed(links):  # the first link found for a point wins
+        if src >= 0 and dst >= 0:
+            succ[src] = dst
+    points = np.asarray(ordered, dtype=float)
+    return OrbitSpec(
         alpha=alpha,
-        points=np.asarray(ordered, dtype=float),
+        points=points,
         base_points=tuple(bases),
         truncation=truncation,
+        succ=succ,
+        chains=_derive_chains(alpha, points, succ),
     )
-    spec.chains = _derive_chains(spec)
-    return spec
 
 
 def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]:
@@ -142,37 +171,20 @@ def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]
     return kb, kf
 
 
-def _derive_chains(spec: OrbitSpec) -> list[OrbitChain]:
-    alpha = spec.alpha
-    idx = {_point_key(float(p)): i for i, p in enumerate(spec.points)}
-    succ: dict[int, int] = {}
-    fixed: set[int] = set()
-    for j, p in enumerate(spec.points):
-        if alpha.domain.contains(float(p), DEFAULT_TOL):
-            q = _point_key(float(alpha.apply(np.asarray(p, dtype=float))))
-            if q in idx:
-                if idx[q] == j:
-                    fixed.add(j)
-                else:
-                    succ[j] = idx[q]
-    pred = {v: k for k, v in succ.items()}
-    chains: list[OrbitChain] = []
-    visited: set[int] = set()
-    for j in sorted(fixed):
-        chains.append(OrbitChain(indices=[j], minus_truncated=False, plus_truncated=False))
-        visited.add(j)
-    for j in range(spec.dim):
+def _derive_chains(alpha: PartialBijection, points: np.ndarray, succ: np.ndarray) -> list[OrbitChain]:
+    fixed = [j for j in range(len(points)) if succ[j] == j]
+    pred = {int(succ[j]): j for j in range(len(points)) if succ[j] >= 0 and succ[j] != j}
+    chains = [OrbitChain(indices=[j], minus_truncated=False, plus_truncated=False) for j in fixed]
+    visited = set(fixed)
+    for j in range(len(points)):
         if j in visited or j in pred:
             continue
         run = [j]
         visited.add(j)
-        while run[-1] in succ:
-            nxt = succ[run[-1]]
-            if nxt in visited:
-                break
-            run.append(nxt)
-            visited.add(nxt)
-        first, last = float(spec.points[run[0]]), float(spec.points[run[-1]])
+        while succ[run[-1]] >= 0 and succ[run[-1]] not in visited:
+            run.append(int(succ[run[-1]]))
+            visited.add(run[-1])
+        first, last = float(points[run[0]]), float(points[run[-1]])
         chains.append(
             OrbitChain(
                 indices=run,
@@ -183,41 +195,67 @@ def _derive_chains(spec: OrbitSpec) -> list[OrbitChain]:
     return chains
 
 
+def add_step_term(out: np.ndarray, s: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """Add diag(values) @ V^n to out in place, where s is the |n|-step index map of V.
+
+    V^n sends basis vector j to s[j] for n >= 0; for n < 0 it is the
+    transpose, sending i to s[i]. Entries with s = -1 stay untouched.
+    """
+    cols = np.flatnonzero(s >= 0)
+    rows = s[cols]
+    if n < 0:
+        rows, cols = cols, rows
+    out[rows, cols] += values[rows]
+    return out
+
+
 @dataclass
 class MatrixRep:
+    """The step element of an orbit window as an index map, with powers cached."""
+
     orbit: OrbitSpec
-    V: np.ndarray
-    Vstar: np.ndarray
+    _maps: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._maps = [np.arange(self.orbit.dim)]
 
     @property
     def dim(self) -> int:
         return self.orbit.dim
 
-    def step_power(self, n: int) -> np.ndarray:
-        if n >= 0:
-            return np.linalg.matrix_power(self.V, n)
-        return np.linalg.matrix_power(self.Vstar, -n)
+    def index_map(self, n: int) -> np.ndarray:
+        """succ applied |n| times: the index |n| steps after each index, or -1."""
+        maps, succ = self._maps, self.orbit.succ
+        while len(maps) <= abs(n):
+            s = maps[-1]
+            if not np.any(s >= 0):
+                return s  # every walk has ended; all further powers are empty
+            maps.append(np.where(s >= 0, succ[s], -1))
+        return maps[abs(n)]
 
-    def diag(self, f: SupportedFunction) -> np.ndarray:
-        return np.diag(f(self.orbit.points))
+    def step_power(self, n: int) -> np.ndarray:
+        """Dense 0/1 matrix of V^n (V*^|n| for negative n)."""
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        return add_step_term(dense, self.index_map(n), n, np.ones(self.dim))
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.step_power(1)
+
+    @property
+    def Vstar(self) -> np.ndarray:
+        return self.step_power(-1)
 
 
 def matrix_rep(orbit: OrbitSpec) -> MatrixRep:
-    idx = {_point_key(float(p)): i for i, p in enumerate(orbit.points)}
-    V = np.zeros((orbit.dim, orbit.dim), dtype=complex)
-    for j, p in enumerate(orbit.points):
-        if orbit.alpha.domain.contains(float(p), DEFAULT_TOL):
-            q = _point_key(float(orbit.alpha.apply(np.asarray(p, dtype=float))))
-            if q in idx:
-                V[idx[q], j] = 1.0
-    return MatrixRep(orbit=orbit, V=V, Vstar=V.T.conj())
+    return MatrixRep(orbit)
 
 
 def represent(x: CrossedProductElement, rep: MatrixRep) -> np.ndarray:
-    """Matrix of an element: diagonal coefficients times chain-matrix powers."""
+    """Matrix of an element: each sampled coefficient scattered along its step's index map."""
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for n, fn in x.terms.items():
-        out += rep.diag(fn) @ rep.step_power(n)
+        add_step_term(out, rep.index_map(n), n, fn(rep.orbit.points))
     return out
 
 
@@ -233,11 +271,6 @@ def excluded_indices(orbit: OrbitSpec, n: int) -> set[int]:
     return out
 
 
-def _masked_max(mat: np.ndarray, keep: np.ndarray) -> float:
-    sub = mat[np.ix_(keep, keep)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
 def covariance_check(
     alg: CrossedProductAlgebra,
     rep: MatrixRep,
@@ -245,37 +278,58 @@ def covariance_check(
     ns: Sequence[int] = (-2, -1, 0, 1, 2),
     tol: float = 1e-10,
 ) -> dict:
-    """Conjugation identity, projection shapes, and indicator matching per step."""
+    """Conjugation identity, projection shapes, and indicator matching per step.
+
+    Every matrix is read off the index map s of V^|n|, without forming it.
+    For n >= 0, V^n diag(g) V^-n is diagonal with g summed over the preimages
+    of each index, the range projection V^n V^-n is diagonal with preimage
+    counts, and the domain projection V^-n V^n has the defined-mask of s on
+    its diagonal and a 1 at each pair of indices with a common image. For
+    n < 0 the two projections swap, and the conjugated diagonal takes g at
+    each image, repeated at those pairs. Comparisons skip excluded indices.
+    """
     pts = rep.orbit.points
+    fs = sample_functions
+    if fs is None:
+        fs = [polynomial([0.5, 1.0, 0.75j], alg.carrier)]
     rows = []
     ok_all = True
     for n in ns:
         pb = alg.power(n)
-        Vn = rep.step_power(n)
+        s = rep.index_map(n)
         excl = excluded_indices(rep.orbit, n)
-        keep = np.array([i for i in range(rep.dim) if i not in excl], dtype=int)
+        keep = np.ones(rep.dim, dtype=bool)
+        keep[sorted(excl)] = False
+        src = np.flatnonzero(s >= 0)
+        hits = np.bincount(s[src], minlength=rep.dim)
+        defined = (s >= 0).astype(float)
+        kept = src[keep[src]]
+        # kept indices whose image another kept index shares: off-diagonal 1s
+        clash = kept[np.bincount(s[kept], minlength=rep.dim)[s[kept]] > 1]
+        range_diag, domain_diag = (hits, defined) if n >= 0 else (defined, hits)
+        range_clash, domain_clash = (False, clash.size > 0) if n >= 0 else (clash.size > 0, False)
 
-        fs = sample_functions
-        if fs is None:
-            fs = [polynomial([0.5, 1.0, 0.75j], alg.carrier)]
         conj_res = 0.0
         for f in fs:
             fr = f.restrict(alg.interval_n(-n))
-            lhs = Vn @ rep.diag(fr) @ Vn.T.conj()
-            moved = rep.diag(pullback(fr.restrict(pb.domain), pb))
-            conj_res = max(conj_res, _masked_max(lhs - moved, keep))
+            g = np.asarray(fr(pts), dtype=complex)
+            lhs = np.zeros(rep.dim, dtype=complex)
+            if n >= 0:
+                np.add.at(lhs, s[src], g[src])
+            else:
+                lhs[src] = g[s[src]]
+                if clash.size:
+                    conj_res = max(conj_res, float(np.max(np.abs(g[s[clash]]))))
+            moved = pullback(fr.restrict(pb.domain), pb)(pts)
+            if keep.any():
+                conj_res = max(conj_res, float(np.max(np.abs(lhs - moved)[keep])))
 
-        PnV = Vn @ Vn.T.conj()
-        QnV = Vn.T.conj() @ Vn
-        in_range = alg.interval_n(n).contains(pts, DEFAULT_TOL).astype(complex)
-        in_domain = alg.interval_n(-n).contains(pts, DEFAULT_TOL).astype(complex)
-        zero_one = bool(
-            np.all(np.isin(PnV.real, (0.0, 1.0))) and np.all(PnV.imag == 0.0)
-            and np.all(np.isin(QnV.real, (0.0, 1.0))) and np.all(QnV.imag == 0.0)
-        )
-        range_exact = _masked_max(PnV - np.diag(in_range), keep) == 0.0
-        domain_exact = _masked_max(QnV - np.diag(in_domain), keep) == 0.0
-        proj_exact = _masked_max(PnV - rep.diag(alg.p(n)), keep) == 0.0
+        in_range = alg.interval_n(n).contains(pts, DEFAULT_TOL)
+        in_domain = alg.interval_n(-n).contains(pts, DEFAULT_TOL)
+        zero_one = bool(hits.max(initial=0) <= 1)
+        range_exact = not range_clash and np.all((range_diag == in_range)[keep])
+        domain_exact = not domain_clash and np.all((domain_diag == in_domain)[keep])
+        proj_exact = not range_clash and np.all((range_diag == alg.p(n)(pts))[keep])
 
         row = {
             "n": int(n),

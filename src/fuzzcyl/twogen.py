@@ -508,7 +508,7 @@ def poincare_constants(hbar: float) -> PoincareConstants:
     if not 0 < hbar < poincare_validity_bound():
         raise ValueError(f"step must lie in (0, {poincare_validity_bound():.6f})")
     h = hbar
-    edge = 1.0 - 2.0 / h + (2.0 / h) * math.sqrt(1.0 - h)
+    edge = 1.0 - 2.0 / (1.0 + math.sqrt(1.0 - h))
     zero_preimage = float(_poincare_inverse(h, 0.0))
     image_of_zero = float(_poincare_forward(h, 0.0))
     edge_preimage = float(_poincare_inverse(h, edge))

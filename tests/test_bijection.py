@@ -84,6 +84,12 @@ class TestPlaneAndDiscFamilies:
         assert abs(float(fam.raw_forward(0.1, np.asarray(0.0))) + 0.05) <= 0.01
         assert g.roundtrip_residual() <= 1e-10
 
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_poincare_roundtrip_drift_at_small_step(self, h):
+        fam = make_family("poincare", UNIT, h)
+        xs = UNIT.grid(1001)
+        assert np.max(np.abs(fam.raw_forward(h, fam.raw_inverse(h, xs)) - xs)) <= 1e-15
+
     def test_poincare_domain_is_left_trimmed(self):
         g = make_family("poincare", UNIT, 0.2).generator
         assert g.range == UNIT

@@ -69,6 +69,14 @@ class TestAlgebraCheck:
         assert len(d["element_pairs"]) == 9
         assert all(r["pass"] for r in d["element_pairs"])
 
+    def test_truncated_window_pairs_exclude_boundary_rows(self, tmp_path):
+        line = {"family": {"kind": "shift", "interval": "(-inf, inf)", "hbar": 0.25}, "base_point": 0.1}
+        cfg = write_config(tmp_path, dict(line, truncation=16, random_elements=3, seed=7))
+        code, d = run_json(tmp_path, ["algebra-check", "--config", cfg])
+        assert code == 0
+        assert all(r["pass"] for r in d["element_pairs"])
+        assert any(r["excluded_indices"] for r in d["element_pairs"])
+
     def test_seed_gives_byte_identical_output(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, random_elements=3))
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
@@ -185,6 +193,14 @@ class TestOrbitCommand:
         assert code == 0
         assert d["dim"] == 4
         assert d["chains"][0]["indices"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("command", ["rep", "orbit", "algebra-check", "oracle"])
+def test_base_point_outside_carrier_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(SHIFT4, base_point=1.5))
+    assert main([command, "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "carrier" in err["error"] and err["context"]["base_point"] == 1.5
 
 
 class TestConfigHandling:

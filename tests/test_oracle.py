@@ -72,6 +72,14 @@ class TestTables:
                 assert a.level_set(n + 1) <= a.level_set(n)
                 assert a.level_set(-(n + 1)) <= a.level_set(-n)
 
+    def test_cached_powers_match_table_powers(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            a = random_fpb(rng, 7)
+            alg = FiniteCrossedProduct(a)
+            for n in (3, -2, 5, 0, -6, 1, 4, -1):
+                assert alg.power(n) == a.power(n)
+
 
 class TestCanonicalFormAgainstTables:
     ALPHABET = (-2, -1, 1, 2)

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_cp_element
-from fuzzcyl.interval import Interval
-from fuzzcyl.crossed import make_cylinder
-from fuzzcyl.functions import polynomial
+from fuzzcyl.interval import DEFAULT_TOL, Interval
+from fuzzcyl.bijection import make_family
+from fuzzcyl.crossed import CrossedProductAlgebra, make_cylinder
+from fuzzcyl.functions import polynomial, pullback
 from fuzzcyl.represent import (
     build_orbit,
     covariance_check,
@@ -149,3 +152,148 @@ class TestCovariance:
         fs = [polynomial([0.0, 1.0], UNIT), polynomial([1.0, 0.0, 1.0j], UNIT)]
         report = covariance_check(cyl, rep, sample_functions=fs, ns=(-3, 3))
         assert report["pass"], report
+
+
+# -- dense reference: 0/1 matrix V, matrix powers and matrix products -----
+
+
+def dense_V(orbit):
+    V = np.zeros((orbit.dim, orbit.dim), dtype=complex)
+    for j, i in enumerate(orbit.succ):
+        if i >= 0:
+            V[i, j] = 1.0
+    return V
+
+
+def dense_power(V, n):
+    return np.linalg.matrix_power(V, n) if n >= 0 else np.linalg.matrix_power(V.T.conj(), -n)
+
+
+def dense_represent(x, orbit, V):
+    out = np.zeros(V.shape, dtype=complex)
+    for n, fn in x.terms.items():
+        out += np.diag(fn(orbit.points)) @ dense_power(V, n)
+    return out
+
+
+def dense_covariance_check(alg, orbit, V, ns, tol=1e-10):
+    """covariance_check computed with dense matrix products."""
+    pts = orbit.points
+
+    def masked_max(mat, keep):
+        sub = mat[np.ix_(keep, keep)]
+        return float(np.max(np.abs(sub))) if sub.size else 0.0
+
+    rows, ok_all = [], True
+    for n in ns:
+        pb = alg.power(n)
+        Vn = dense_power(V, n)
+        excl = excluded_indices(orbit, n)
+        keep = np.array([i for i in range(orbit.dim) if i not in excl], dtype=int)
+        conj_res = 0.0
+        for f in [polynomial([0.5, 1.0, 0.75j], alg.carrier)]:
+            fr = f.restrict(alg.interval_n(-n))
+            lhs = Vn @ np.diag(fr(pts)) @ Vn.T.conj()
+            moved = np.diag(pullback(fr.restrict(pb.domain), pb)(pts))
+            conj_res = max(conj_res, masked_max(lhs - moved, keep))
+        PnV, QnV = Vn @ Vn.T.conj(), Vn.T.conj() @ Vn
+        in_range = alg.interval_n(n).contains(pts, DEFAULT_TOL).astype(complex)
+        in_domain = alg.interval_n(-n).contains(pts, DEFAULT_TOL).astype(complex)
+        zero_one = bool(
+            np.all(np.isin(PnV.real, (0.0, 1.0))) and np.all(PnV.imag == 0.0)
+            and np.all(np.isin(QnV.real, (0.0, 1.0))) and np.all(QnV.imag == 0.0)
+        )
+        row = {
+            "n": int(n),
+            "conjugation_residual": conj_res,
+            "projections_zero_one": zero_one,
+            "range_projection_exact": masked_max(PnV - np.diag(in_range), keep) == 0.0,
+            "domain_projection_exact": masked_max(QnV - np.diag(in_domain), keep) == 0.0,
+            "indicator_matches_projection": masked_max(PnV - np.diag(alg.p(n)(pts)), keep) == 0.0,
+            "excluded_indices": sorted(excl),
+        }
+        row["pass"] = bool(
+            conj_res <= tol and zero_one and row["range_projection_exact"]
+            and row["domain_projection_exact"] and row["indicator_matches_projection"]
+        )
+        ok_all = ok_all and row["pass"]
+        rows.append(row)
+    return {"steps": rows, "pass": ok_all}
+
+
+WINDOWS = {
+    "shift_unit": ("shift", "[0,1]", 0.125, 0.03, 64),
+    "shift_half_line": ("shift", "[0,inf)", 0.25, 0.1, 8),
+    "shift_line_truncated": ("shift", "(-inf,inf)", 1 / 16, 0.01, 24),
+    "disc": ("poincare", "[0,1]", 0.1, 0.5, 16),
+    "custom": ("custom", "[0,1]", 0.125, 0.05, 64),
+    "two_bases": ("shift", "[0,1]", 0.25, [0.125, 0.0625], 64),
+}
+
+
+def window(name):
+    kind, interval, h, base, truncation = WINDOWS[name]
+    exprs = {"forward": "x + h", "inverse": "x - h"} if kind == "custom" else {}
+    alg = CrossedProductAlgebra(make_family(kind, Interval.parse(interval), h, **exprs).generator)
+    return alg, build_orbit(alg.alpha, base, truncation)
+
+
+class TestIndexMapsMatchDenseMatrices:
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_links_follow_the_map(self, name):
+        alg, orbit = window(name)
+        src = np.flatnonzero(orbit.succ >= 0)
+        images = alg.alpha.apply(orbit.points[src])
+        assert np.all(np.abs(images - orbit.points[orbit.succ[src]]) <= 1e-12 * (1 + np.abs(images)))
+
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_step_powers(self, name):
+        _, orbit = window(name)
+        rep = matrix_rep(orbit)
+        V = dense_V(orbit)
+        assert np.array_equal(rep.V, V) and np.array_equal(rep.Vstar, V.T.conj())
+        for n in range(-9, 10):
+            assert np.array_equal(rep.step_power(n), dense_power(V, n)), n
+        assert not np.any(rep.step_power(orbit.dim)) and not np.any(rep.step_power(-orbit.dim))
+
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_represent(self, name):
+        alg, orbit = window(name)
+        rep, V = matrix_rep(orbit), dense_V(orbit)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            x = random_cp_element(alg, rng, max_step=4)
+            assert np.array_equal(represent(x, rep), dense_represent(x, orbit, V))
+
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_covariance_report(self, name):
+        alg, orbit = window(name)
+        ns = range(-orbit.dim - 1, orbit.dim + 2)
+        assert covariance_check(alg, matrix_rep(orbit), ns=ns) == dense_covariance_check(
+            alg, orbit, dense_V(orbit), ns
+        )
+
+    def test_non_injective_map_fails_like_its_dense_matrix(self):
+        alg, orbit = window("shift_unit")
+        succ = orbit.succ.copy()
+        succ[4] = succ[5]  # indices 4 and 5 now share the image 6
+        bad = dataclasses.replace(orbit, succ=succ)
+        ns = range(-3, 4)
+        report = covariance_check(alg, matrix_rep(bad), ns=ns)
+        assert report == dense_covariance_check(alg, bad, dense_V(bad), ns)
+        rows = {row["n"]: row for row in report["steps"]}
+        for n in (-2, -1, 1, 2):
+            assert not rows[n]["projections_zero_one"]
+        assert not rows[1]["domain_projection_exact"] and not rows[-1]["domain_projection_exact"]
+        assert rows[0]["pass"] and not report["pass"]
+
+
+class TestDiscOrbitsAreSingleChains:
+    def test_every_window_is_one_chain(self):
+        bases = np.linspace(0.0, 1.0, 16)[:-1]  # 1 is the fixed point of the disc map
+        for h in np.linspace(0.001, 0.8, 60):
+            alpha = make_family("poincare", UNIT, float(h)).generator
+            for b in bases:
+                orbit = build_orbit(alpha, float(b), truncation=64)
+                assert len(orbit.chains) == 1, (h, b)
+                assert np.count_nonzero(orbit.succ >= 0) == orbit.dim - 1, (h, b)
