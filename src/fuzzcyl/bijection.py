@@ -3,15 +3,16 @@
 A partial bijection is a strictly monotone homeomorphism between two
 subintervals of a fixed carrier interval. Closed-form forward and inverse
 callables are stored side by side; nothing in the library ever inverts a map
-numerically. Iterated composition produces the nested interval chain that
-controls which group words survive, and `canonicalize` reduces an arbitrary
-word in the generator to the normal form (idempotent pair, net power).
+numerically. The powers of a generator, each built from its neighbour toward
+0 by `next_power`, produce the nested interval chain that controls which
+group words survive, and `canonicalize` reduces an arbitrary word in the
+generator to the normal form (idempotent pair, net power).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,11 @@ def _identity_map(x):
 
 @dataclass(frozen=True)
 class PartialBijection:
-    """Strictly monotone bijection from `domain` onto `range`, both inside `carrier`."""
+    """Strictly monotone bijection from `domain` onto `range`, both inside `carrier`.
+
+    A translation x -> x + offset records its constant in `offset`, so its
+    powers take the closed form x + n * offset; any other map leaves it None.
+    """
 
     carrier: Interval
     domain: Interval
@@ -37,6 +42,7 @@ class PartialBijection:
     forward: ArrayMap
     inverse: ArrayMap
     label: str = ""
+    offset: float | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -56,6 +62,7 @@ class PartialBijection:
             forward=self.inverse,
             inverse=self.forward,
             label=f"inv({self.label})" if self.label else "",
+            offset=None if self.offset is None else -self.offset,
         )
 
     def roundtrip_residual(self, samples: int = 33) -> float:
@@ -97,31 +104,58 @@ def compose(outer: PartialBijection, inner: PartialBijection) -> PartialBijectio
     return PartialBijection(outer.carrier, dom, rng, fwd, inv, label)
 
 
-def _iterated_range(alpha: PartialBijection, n: int) -> Interval:
-    """Range of the n-fold composition, by clipped image iteration."""
-    step = alpha if n >= 0 else alpha.inverted()
-    s = alpha.carrier
-    for _ in range(abs(n)):
-        s = s.intersect(step.domain)
-        if s.is_empty:
-            return EMPTY
-        s = image_monotone(s, step.forward).intersect(alpha.carrier)
-    return s
+def _iterate(fn: ArrayMap, k: int) -> ArrayMap:
+    """fn applied k times in a loop: the same float operations as k nested calls."""
+
+    def run(x):
+        x = np.asarray(x, dtype=float)
+        for _ in range(k):
+            x = fn(x)
+        return x
+
+    return run
+
+
+def next_power(
+    step: PartialBijection, prev: PartialBijection, reach: Interval, k: int
+) -> tuple[PartialBijection, Interval]:
+    """step^k from prev = step^(k-1), k >= 1; step is the generator or its inverse.
+
+    The domain and range are those of compose(step, prev); the maps apply the
+    step k times in a loop, or add k * offset for a translation. reach is the
+    range of prev found by clipped image iteration from the carrier; one more
+    clipped image gives the iterated range of step^k, which must agree with
+    the composed range to 1e-9. Returns (step^k, its iterated range).
+    """
+    reach = reach.intersect(step.domain)
+    if not reach.is_empty:
+        reach = image_monotone(reach, step.forward).intersect(step.carrier)
+    if k == 1:
+        out = step
+    else:
+        out = compose(step, prev)
+        if not out.is_empty:
+            if step.offset is None:
+                offset, fwd, inv = None, _iterate(step.forward, k), _iterate(step.inverse, k)
+            else:
+                offset = k * step.offset
+                fwd = lambda x: np.asarray(x, dtype=float) + offset
+                inv = lambda y: np.asarray(y, dtype=float) - offset
+            label = f"{step.label}^{k}" if step.label else ""
+            out = replace(out, forward=fwd, inverse=inv, label=label, offset=offset)
+    if not out.range.close_to(reach, 1e-9):
+        raise RuntimeError(
+            f"power self-check failed for k={k}: composed range {out.range}, iterated {reach}"
+        )
+    return out, reach
 
 
 def power(alpha: PartialBijection, n: int) -> PartialBijection:
-    """n-fold composition (negative n uses the inverse)."""
-    if n == 0:
-        return identity_on(alpha.carrier)
+    """n-fold composition (negative n uses the inverse), built by next_power."""
     step = alpha if n > 0 else alpha.inverted()
-    out = step
-    for _ in range(abs(n) - 1):
-        out = compose(step, out)
-    expected = _iterated_range(alpha, n)
-    if not out.range.close_to(expected, 1e-9):
-        raise RuntimeError(
-            f"power self-check failed for n={n}: composed range {out.range}, iterated {expected}"
-        )
+    out, reach = identity_on(alpha.carrier), alpha.carrier
+    for k in range(1, abs(n) + 1):
+        out, reach = next_power(step, out, reach, k)
     return out
 
 
@@ -253,6 +287,9 @@ _BETAS: dict[str, Callable] = {
     "poincare": lambda u: -0.5 * (1.0 - np.asarray(u, dtype=float)) ** 2,
 }
 
+# sign of the constant each translation family adds: the generator's offset is sign * hbar
+_OFFSET_SIGNS = {"shift": 1.0, "plane_plus": -1.0, "plane_minus": 1.0}
+
 
 def _build_generator(
     carrier: Interval,
@@ -260,6 +297,7 @@ def _build_generator(
     inv: ArrayMap,
     formula_domain: Interval,
     label: str,
+    offset: float | None = None,
 ) -> PartialBijection:
     """Largest restriction of a monotone map to a partial bijection of carrier."""
     g_dom = carrier.intersect(formula_domain)
@@ -270,7 +308,7 @@ def _build_generator(
     if rng.is_empty:
         return empty_bijection(carrier)
     dom = image_monotone(rng, inv)
-    pb = PartialBijection(carrier, dom, rng, fwd, inv, label)
+    pb = PartialBijection(carrier, dom, rng, fwd, inv, label, offset)
     rt = pb.roundtrip_residual()
     if rt > 1e-10:
         raise ValueError(f"forward/inverse pair is inconsistent (roundtrip residual {rt:.3g})")
@@ -328,6 +366,7 @@ def make_family(
             lambda y: raw_inv(hbar, y),
             formula_domain,
             f"{kind}[{hbar}]",
+            _OFFSET_SIGNS[kind] * hbar if kind in _OFFSET_SIGNS else None,
         )
 
     return BijectionFamily(

@@ -12,9 +12,8 @@ import csv
 import dataclasses
 import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +97,10 @@ class RunConfig:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError("malformed configuration value", {"detail": str(e)}) from None
-        if any(h <= 0 for h in cfg.hbars):
-            raise ConfigError("step values must be positive", {"hbars": cfg.hbars})
+        bad = [h for h in cfg.hbars if not 0 < h < math.inf]
+        if bad:
+            # as strings: nan and inf have no strict JSON form
+            raise ConfigError("step values must be positive and finite", {"hbars": [str(h) for h in bad]})
         bad = [p for p in cfg.profiles if p not in PROFILE_KINDS]
         if bad:
             raise ConfigError("unknown profiles", {"profiles": bad, "expected": list(PROFILE_KINDS)})
@@ -182,15 +183,6 @@ def _base_point(cfg: RunConfig, alg: CrossedProductAlgebra) -> float:
     return cfg.base_point
 
 
-def _pmap(fn, items: list) -> list:
-    """Map in input order; FUZZCYL_THREADS>1 fans the work out to threads."""
-    workers = int(os.environ.get("FUZZCYL_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- command handlers -------------------------------------------------
 
 
@@ -257,12 +249,11 @@ def _cmd_poisson_limit(cfg: RunConfig) -> tuple[dict, bool]:
         (_coefficients(cfg.elements[i], fam.interval), _coefficients(cfg.elements[i + 1], fam.interval))
         for i in range(0, len(cfg.elements), 2)
     ]
-
-    def run(pair):
-        f, g = pair
-        return classical_limit_check(f, g, fam, cfg.hbars, grid_size=cfg.grid_size)
-
-    runs = _pmap(run, pairs)
+    try:
+        runs = [classical_limit_check(f, g, fam, cfg.hbars, grid_size=cfg.grid_size) for f, g in pairs]
+    except ValueError as e:
+        # the family cannot be rebuilt at a step of the sweep, or the step leaves no window
+        raise ConfigError("step sweep does not fit the family", {"hbars": cfg.hbars, "detail": str(e)}) from None
     payload = {"runs": [dict(r, pair=i) for i, r in enumerate(runs)]}
     return payload, all(r["pass"] for r in runs)
 
@@ -271,10 +262,13 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
     profiles = cfg.profiles or list(PROFILE_KINDS)
     hbars = cfg.hbars or [0.1]
     jobs = [(p, h) for p in profiles for h in hbars]
-
-    def run(job):
-        name, h = job
-        rep, profile, action = standard_setup(name, h)
+    rows = []
+    for name, h in jobs:
+        try:
+            rep, profile, action = standard_setup(name, h)
+        except ValueError as e:
+            raise ConfigError("step is outside the profile's valid range",
+                              {"profile": name, "hbar": h, "detail": str(e)}) from None
         rel = two_gen_relations(rep, profile, action, h, grid_size=cfg.grid_size)
         bnd = boundary_continuity_check(rep, profile, action, h, grid_size=cfg.grid_size)
         row = {"profile": name, "hbar": h, "relations": rel, "boundary": bnd}
@@ -288,9 +282,7 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
             row["pass"] = bool(rel["relations_pass"] and not rel["valid_generator"])
         else:
             row["pass"] = bool(rel["pass"])
-        return row
-
-    rows = _pmap(run, jobs)
+        rows.append(row)
     rows.sort(key=lambda r: (r["profile"], r["hbar"]))
     return {"rows": rows}, all(r["pass"] for r in rows)
 

@@ -5,6 +5,11 @@ f_n must live on the n-th member of the nested interval chain. The product
 twists the right factor through the partial bijection; the involution
 conjugates and transports across. Coefficient supports outside the chain are
 clipped by default; strict mode turns a violation into an error instead.
+
+The algebra caches the powers alpha^n: a missing power is filled from the
+nearest cached one toward 0, one `next_power` step per power, so reaching
+step n costs n steps once per algebra, and the chain interval of step n is
+the range of the cached alpha^n.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .interval import Interval
-from .bijection import PartialBijection, identity_on, make_family, power
+from .bijection import PartialBijection, identity_on, make_family, next_power
 from .functions import (
     SUPPORT_TOL,
     SupportViolation,
@@ -32,12 +37,20 @@ class CrossedProductAlgebra:
     def __init__(self, generator: PartialBijection):
         self.alpha = generator
         self.carrier = generator.carrier
-        self._powers: dict[int, PartialBijection] = {0: identity_on(self.carrier), 1: generator}
+        self._inverse = generator.inverted()
+        # n -> (alpha^n, its iterated range for the self-check in next_power)
+        self._powers: dict[int, tuple[PartialBijection, Interval]] = {
+            0: (identity_on(self.carrier), self.carrier)
+        }
 
     def power(self, n: int) -> PartialBijection:
+        """alpha^n; a miss fills every power from the nearest cached one toward 0."""
         if n not in self._powers:
-            self._powers[n] = power(self.alpha, n)
-        return self._powers[n]
+            sign, step = (1, self.alpha) if n > 0 else (-1, self._inverse)
+            for k in range(sign, n + sign, sign):
+                if k not in self._powers:
+                    self._powers[k] = next_power(step, *self._powers[k - sign], abs(k))
+        return self._powers[n][0]
 
     def interval_n(self, n: int) -> Interval:
         return self.power(n).range

@@ -285,12 +285,19 @@ class Interval:
 EMPTY = Interval(0.0, 0.0, False, False, True)
 
 
+def _strictly_increasing(xs: np.ndarray) -> bool:
+    return bool(np.all(np.diff(xs) > 0))
+
+
 def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray], samples: int = 33) -> Interval:
     """Image of an interval under a strictly monotone continuous map.
 
     Endpoint images determine orientation; a sampled grid check rejects maps
-    that are not strictly monotone on the interval. Open/closed endpoints map
-    to open/closed images (infinite images are open).
+    that are not strictly monotone on the interval. An interval a few ulps
+    wide has no strictly increasing sample grid to check on, so it maps to
+    the interval between its endpoint images unchecked (a point when they
+    round to the same float). Open/closed endpoints map to open/closed
+    images (infinite images are open).
     """
     if iv.is_empty:
         return EMPTY
@@ -302,18 +309,19 @@ def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray], samples
     b = float(fn(np.asarray(iv.hi, dtype=float)))
     if math.isnan(b):
         raise ValueError(f"map undefined at endpoint {iv.hi}")
-    if a == b:
-        raise ValueError("map is not strictly monotone: equal endpoint images")
-    increasing = a < b
     xs = iv.grid(samples + 2)[1:-1]
+    if a == b:
+        if _strictly_increasing(xs):
+            raise ValueError("map is not strictly monotone: equal endpoint images")
+        return Interval.point(a)
+    increasing = a < b
     ys = np.asarray(fn(xs), dtype=float)
     if np.any(np.isnan(ys)):
         raise ValueError("map undefined inside the interval")
     d = np.diff(ys)
-    if increasing and not np.all(d > 0):
-        raise ValueError("map is not strictly increasing on sampled grid")
-    if not increasing and not np.all(d < 0):
-        raise ValueError("map is not strictly decreasing on sampled grid")
+    if not np.all(d > 0 if increasing else d < 0) and _strictly_increasing(xs):
+        direction = "increasing" if increasing else "decreasing"
+        raise ValueError(f"map is not strictly {direction} on sampled grid")
     if increasing:
         lo, hi, lo_c, hi_c = a, b, iv.lo_closed, iv.hi_closed
     else:

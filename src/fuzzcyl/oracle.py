@@ -342,11 +342,10 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
 
     mismatches = []
     for n in range(-(M + 1), M + 2):
-        chain = algebra.interval_n(n)
-        allowed = finite_algebra.level_set(n)
-        for i, p in enumerate(points):
-            if bool(chain.contains(p, tol)) != (i in allowed):
-                mismatches.append({"n": n, "index": i, "point": float(p)})
+        allowed = np.zeros(M, dtype=bool)
+        allowed[list(finite_algebra.level_set(n))] = True
+        for i in np.flatnonzero(algebra.interval_n(n).contains(points, tol) != allowed):
+            mismatches.append({"n": n, "index": int(i), "point": float(points[i])})
 
     sampled = [sample_element(x, finite_algebra, points) for x in elements]
     worst = 0.0

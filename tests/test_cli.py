@@ -109,6 +109,18 @@ class TestPoissonLimit:
             assert len(cells) == 4
             assert all("." in c for c in cells[1:])  # plain decimal point, no locale
 
+    @pytest.mark.parametrize("hbar", ["nan", "inf"])
+    def test_non_finite_step_is_config_error(self, tmp_path, capsys, hbar):
+        cfg = write_config(tmp_path, POISSON)
+        assert main(["poisson-limit", "--config", cfg, "--hbar", hbar]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["hbars"] == [hbar]
+
+    def test_step_too_large_for_the_family_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, POISSON)
+        assert main(["poisson-limit", "--config", cfg, "--hbar", "5"]) == 2
+        assert "step" in json.loads(capsys.readouterr().err)["error"]
+
     def test_odd_element_count_rejected(self, tmp_path, capsys):
         data = dict(POISSON, elements=POISSON["elements"][:1])
         cfg = write_config(tmp_path, data)
@@ -139,13 +151,10 @@ class TestSubalgebra:
         consts = d["rows"][0]["constants"]
         assert consts["edge"] == pytest.approx(-0.025, abs=0.01)
 
-    def test_thread_fanout_is_deterministic(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["subalgebra", "--hbar", "0.1", "--hbar", "0.05"]
-        assert main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("FUZZCYL_THREADS", "3")
-        assert main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_disc_step_beyond_bound_is_config_error(self, capsys):
+        assert main(["subalgebra", "--hbar", "0.9", "--profile", "poincare"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["profile"] == "poincare" and err["context"]["hbar"] == 0.9
 
     def test_unknown_profile_rejected(self, capsys):
         assert main(["subalgebra", "--profile", "torus"]) == 2

@@ -303,6 +303,29 @@ class TestIntervalBridge:
         with pytest.raises(ValueError):
             fin.element({1: vec})
 
+    def test_membership_mismatches_match_pointwise_reference(self):
+        from fuzzcyl.crossed import CrossedProductAlgebra
+        from fuzzcyl.interval import Interval
+        from fuzzcyl.oracle import sample_interval_to_finite
+
+        class SkewedChain(CrossedProductAlgebra):
+            """Chain intervals moved by 0.3, so membership disagrees at some points."""
+
+            def interval_n(self, n):
+                iv = super().interval_n(n)
+                return iv if iv.is_empty else Interval(iv.lo + 0.3, iv.hi + 0.3, iv.lo_closed, iv.hi_closed)
+
+        alg = SkewedChain(self._finite_shift(0.125).alpha)
+        fin, points, report = sample_interval_to_finite(alg, 0.0625)
+        want = [
+            {"n": n, "index": i, "point": float(p)}
+            for n in range(-(fin.M + 1), fin.M + 2)
+            for i, p in enumerate(points)
+            if bool(alg.interval_n(n).contains(p, 1e-10)) != (i in fin.level_set(n))
+        ]
+        assert want and report["membership_mismatches"] == want
+        assert not report["membership_pass"]
+
     def test_disc_orbit_is_incompatible(self):
         from fuzzcyl.bijection import make_family
         from fuzzcyl.crossed import CrossedProductAlgebra
