@@ -91,6 +91,9 @@ def compose(outer: PartialBijection, inner: PartialBijection) -> PartialBijectio
         return empty_bijection(outer.carrier)
     dom = image_monotone(mid, inner.inverse)
     rng = image_monotone(mid, outer.forward)
+    if rng.intersect(outer.carrier).is_empty:
+        # a sub-ulp mid whose image rounds onto an excluded end of the carrier
+        return empty_bijection(outer.carrier)
     of, inf_ = outer.forward, inner.forward
     oi, ini = outer.inverse, inner.inverse
 
@@ -310,7 +313,7 @@ def _build_generator(
     dom = image_monotone(rng, inv)
     pb = PartialBijection(carrier, dom, rng, fwd, inv, label, offset)
     rt = pb.roundtrip_residual()
-    if rt > 1e-10:
+    if not rt <= 1e-10:  # NaN: the inverse is undefined where forward lands
         raise ValueError(f"forward/inverse pair is inconsistent (roundtrip residual {rt:.3g})")
     return pb
 
@@ -396,13 +399,12 @@ def family_from_descriptor(desc: dict) -> BijectionFamily:
         hbar = float(desc["hbar"])
     except KeyError as e:
         raise ValueError(f"family descriptor missing field {e.args[0]!r}") from None
-    return make_family(
-        kind,
-        interval,
-        hbar,
-        forward=desc.get("forward", ""),
-        inverse=desc.get("inverse", ""),
-    )
+    except TypeError as e:
+        raise ValueError(f"malformed family descriptor field: {e}") from None
+    forward, inverse = desc.get("forward", ""), desc.get("inverse", "")
+    if not (isinstance(forward, str) and isinstance(inverse, str)):
+        raise ValueError("custom map expressions must be strings")
+    return make_family(kind, interval, hbar, forward=forward, inverse=inverse)
 
 
 def family_to_descriptor(fam: BijectionFamily) -> dict:

@@ -10,6 +10,7 @@ stderr as a machine-readable {"error", "context"} object.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -110,6 +111,8 @@ class RunConfig:
             raise ConfigError("grid_size must be at least 2", {"grid_size": cfg.grid_size})
         if cfg.truncation < 1:
             raise ConfigError("truncation must be at least 1", {"truncation": cfg.truncation})
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative", {"seed": cfg.seed})
         for el in cfg.elements:
             if not isinstance(el, dict) or not isinstance(el.get("terms"), dict):
                 raise ConfigError("each element needs a 'terms' object keyed by step index")
@@ -266,7 +269,9 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
     for name, h in jobs:
         try:
             rep, profile, action = standard_setup(name, h)
-        except ValueError as e:
+        except (ValueError, RuntimeError) as e:
+            # RuntimeError: a self-check of the setup fails at this step, e.g. the
+            # disc constants below h ~ 1e-8, where rounding exceeds the h^2 they are checked to
             raise ConfigError("step is outside the profile's valid range",
                               {"profile": name, "hbar": h, "detail": str(e)}) from None
         rel = two_gen_relations(rep, profile, action, h, grid_size=cfg.grid_size)
@@ -335,7 +340,7 @@ def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
+        return _jsonable(v.tolist())  # a 0-d array gives its scalar
     if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
     if isinstance(v, (frozenset, set)):
@@ -347,6 +352,48 @@ def _jsonable(v):
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     return str(v)
+
+
+def _enclose(parts: list[str], level: int, brackets: str = "[]") -> str:
+    """json's indent=2 container of already-written items, opened at depth level."""
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level + brackets[1]
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """A numeric array as json's nested lists, from one text template.
+
+    The template is the array's nesting with "%s" for every entry, built a
+    row at a time; the entries come from one tolist(). Complex entries are
+    [re, im] pairs. Finite floats take float.__repr__ as json does; other
+    entries (ints, bools, json's NaN/Infinity) take json.dumps.
+    """
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    text = float.__repr__ if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
+    template = "%s"
+    for axis in range(a.ndim - 1, -1, -1):
+        template = _enclose([template] * a.shape[axis], level + axis)
+    return template % tuple(map(text, a.ravel().tolist()))
+
+
+def _json_text(v, level: int = 0) -> str:
+    """The text of json.dumps(_jsonable(v), sort_keys=True, indent=2).
+
+    json's C encoder does not indent, and its pure-Python one costs a call
+    per float; numeric arrays here are written by _array_text instead.
+    """
+    if isinstance(v, np.ndarray) and v.ndim and v.dtype.kind in "biufc":
+        return _array_text(v, level)
+    if isinstance(v, dict):
+        items = {str(k): x for k, x in v.items()}
+        return _enclose([json.dumps(k) + ": " + _json_text(items[k], level + 1) for k in sorted(items)], level, "{}")
+    if isinstance(v, (list, tuple)):
+        return _enclose([_json_text(x, level + 1) for x in v], level)
+    v = _jsonable(v)
+    return _json_text(v, level) if isinstance(v, list) else json.dumps(v)
 
 
 def _flatten(prefix: str, v, rows: list):
@@ -372,10 +419,9 @@ def _csv_table(cfg: RunConfig, payload: dict) -> tuple[list[str], list[list]]:
         return ["index", "point"], [[i, p] for i, p in enumerate(payload["points"])]
     if cfg.command == "rep":
         V = np.asarray(payload["V"])
-        return (
-            ["row", "col", "re", "im"],
-            [[i, j, V[i, j].real, V[i, j].imag] for i in range(V.shape[0]) for j in range(V.shape[1])],
-        )
+        cols = V.shape[1]
+        re, im = V.real.ravel().tolist(), V.imag.ravel().tolist()
+        return ["row", "col", "re", "im"], [[k // cols, k % cols, re[k], im[k]] for k in range(V.size)]
     rows: list = []
     _flatten("", _jsonable(payload), rows)
     return ["key", "value"], [[k, v] for k, v in rows]
@@ -383,11 +429,9 @@ def _csv_table(cfg: RunConfig, payload: dict) -> tuple[list[str], list[list]]:
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
     if cfg.format == "json":
-        body = dict(_jsonable(payload))
         echo = cfg.to_dict()
         echo["out"] = None  # destination is not part of the run; keeps reports byte-stable
-        body["config"] = _jsonable(echo)
-        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+        text = _json_text(dict(payload, config=echo)) + "\n"
     else:
         header, rows = _csv_table(cfg, payload)
         buf = io.StringIO()
@@ -405,6 +449,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 # -- entry point ------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzcyl",

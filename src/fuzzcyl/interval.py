@@ -97,6 +97,8 @@ class Interval:
     @staticmethod
     def parse(text: str) -> "Interval":
         """Parse the textual form: "[a,b]", "(a,b]", "(-inf,b]", "empty"."""
+        if not isinstance(text, str):
+            raise ValueError(f"cannot parse interval: {text!r}")
         s = text.strip()
         if s.lower() == "empty":
             return EMPTY

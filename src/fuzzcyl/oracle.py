@@ -315,9 +315,11 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
     """Discretize a cylinder onto an orbit grid and cross-check both arithmetics.
 
     The grid is the orbit window through base_point. The bijection must map
-    every grid point it is defined at back onto the grid; a map whose orbit
-    only terminates by window truncation (half-infinite shifts, the disc map
-    accumulating at its fixed point) fails that closure and raises
+    every grid point it is defined at back onto the grid, one to one, and
+    every grid point in its range must have its preimage on the grid; a map
+    whose orbit only terminates by window truncation (half-infinite shifts,
+    the disc map accumulating at its fixed point, a window cut short on
+    either side) or whose steps are below tol fails that closure and raises
     GridIncompatible. On a closed grid the finite tables are built, chain
     membership is compared index by index, and every pairwise product and
     adjoint of the supplied elements is computed along both routes.
@@ -338,6 +340,12 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
         if hits.size == 0:
             raise GridIncompatible(f"image {q:.6g} of grid point {p:.6g} is not on the grid")
         mapping[i] = int(hits[0])
+    images = set(mapping.values())
+    if len(images) < len(mapping):
+        raise GridIncompatible(f"grid points lie closer together than the matching tolerance {tol:.3g}")
+    for i in np.flatnonzero(alpha.range.contains(points, tol)):
+        if i not in images:
+            raise GridIncompatible(f"preimage of grid point {points[i]:.6g} is not on the grid")
     finite_algebra = FiniteCrossedProduct(FinitePartialBijection(M, mapping))
 
     mismatches = []

@@ -1,9 +1,12 @@
+import csv
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from fuzzcyl.cli import ConfigError, RunConfig, main
+from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _csv_table, _emit, _json_text, main
 
 SHIFT4 = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125}
 
@@ -245,3 +248,185 @@ class TestConfigHandling:
         assert code == 0
         assert d["points"][0] == 0.125 or 0.375 in d["points"]
         assert d["config"]["base_point"] == 0.375
+
+
+@pytest.mark.parametrize(
+    "command,data,detail",
+    [
+        # inverse(forward(x)) is NaN where x - h < 0: the pair does not invert
+        ("algebra-check",
+         {"family": {"kind": "custom", "interval": "[0,inf)", "hbar": 1.0, "forward": "x - h", "inverse": "sqrt(x)"},
+          "base_point": 0.5, "random_elements": 2},
+         "inconsistent"),
+        # steps below the matching tolerance: several grid points match one image
+        ("oracle", {"family": {"kind": "plane_minus", "interval": "[0,inf)", "hbar": 1e-12}, "base_point": 0.1,
+                    "truncation": 32},
+         "tolerance"),
+        # the window is cut below 0.3, whose preimage 0.55 is in the carrier
+        ("oracle", {"family": {"kind": "plane_plus", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.05,
+                    "truncation": 2, "random_elements": 2, "seed": 15},
+         "preimage"),
+    ],
+)
+def test_escapes_exit_two_with_json_error(tmp_path, capsys, command, data, detail):
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert set(err) == {"error", "context"} and detail in err["context"]["detail"]
+
+
+# -- report emission ---------------------------------------------------
+
+
+def _jsonable_reference(v):
+    """The element-wise normaliser the JSON reports were written through."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, np.ndarray):
+        return [_jsonable_reference(x) for x in v.tolist()]
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
+    if isinstance(v, (frozenset, set)):
+        return sorted(v)
+    if isinstance(v, dict):
+        return {str(k): _jsonable_reference(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable_reference(x) for x in v]
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    return str(v)
+
+
+def reference_text(v):
+    return json.dumps(_jsonable_reference(v), sort_keys=True, indent=2)
+
+
+SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e16, 1e-5, 0.1, np.nan, np.inf, -np.inf]
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([[1 + 2j, -0.0 - 0.0j], [3.5e-17j, 1e16 + 0.1j]]),
+            np.array([complex(np.nan, 1.0), complex(0.0, -np.inf)]),
+            np.array(SPECIAL),
+            np.array(SPECIAL, dtype=np.float32),
+            np.arange(24, dtype=float).reshape(2, 3, 4) / 7,
+            np.array([[1, -2, 3]], dtype=np.int64),
+            np.array([7, 255], dtype=np.uint8),
+            np.array([[True, False], [False, True]]),
+            np.zeros(0),
+            np.zeros((3, 0), complex),
+            np.zeros((0, 3)),
+            np.zeros((2, 0, 3)),
+            np.array(["a", "ħ"]),
+            np.array([{"k": 1}, None], dtype=object),
+        ],
+        ids=lambda v: f"{v.dtype}{v.shape}",
+    )
+    def test_arrays_match_reference(self, value):
+        assert _json_text(value) == reference_text(value)
+        assert _json_text({"x": [value, {"y": value}]}) == reference_text({"x": [value, {"y": value}]})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.float64(0.1), np.float32(0.1), np.int32(-3), np.uint64(2**63), np.bool_(True), np.complex128(1 - 2j),
+            1e308, -0.0, float("nan"), float("inf"), -float("inf"), 2**70, True, None, "", 1 + 0j,
+            {3, 1, 2}, frozenset({"b", "a"}),
+            {10: "x", 2: "y", 1: {"z": []}}, {"": {}, "a": ()},
+            "naïve ħ   \U0001f600 \x00 \"quoted\" \\ /",
+            {"ключ": "значение", "\U0001f600": [1, 2.5, None]},
+        ],
+        ids=repr,
+    )
+    def test_scalars_and_containers_match_reference(self, value):
+        assert _json_text(value) == reference_text(value)
+        assert _json_text([value, {"k": value}]) == reference_text([value, {"k": value}])
+
+    @pytest.mark.parametrize("value", [np.array(2.5), np.array(-1 + 0.5j), np.array(True), np.array(3)])
+    def test_zero_dim_arrays_are_their_scalar(self, value):
+        # the reference iterates over tolist(), which a 0-d array returns as a scalar
+        with pytest.raises(TypeError):
+            reference_text(value)
+        assert _json_text(value) == reference_text(value.item())
+
+    def test_report_body_matches_reference(self, tmp_path):
+        data = dict(SHIFT4, elements=[{"terms": {"0": {"type": "poly", "coeffs": [0.5, [0.0, 1.0]]}}}])
+        cfg = RunConfig.from_dict(dict(data, command="rep", out=str(tmp_path / "rep.json")))
+        payload, _ = _HANDLERS["rep"](cfg)
+        _emit(cfg, payload)
+        echo = dict(cfg.to_dict(), out=None)
+        assert (tmp_path / "rep.json").read_text() == reference_text(dict(payload, config=echo)) + "\n"
+
+
+def _rep_rows_reference(V):
+    """The rep CSV table as built one numpy scalar at a time."""
+    return [[i, j, V[i, j].real, V[i, j].imag] for i in range(V.shape[0]) for j in range(V.shape[1])]
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestRepCsv:
+    @pytest.mark.parametrize("hbar,dim", [(0.25, 4), (1 / 256, 256)])
+    def test_rows_match_reference(self, hbar, dim):
+        data = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": hbar}, "base_point": hbar / 2,
+                "truncation": 512}
+        cfg = RunConfig.from_dict(dict(data, command="rep", format="csv"))
+        payload, _ = _HANDLERS["rep"](cfg)
+        assert payload["V"].shape == (dim, dim)
+        header, rows = _csv_table(cfg, payload)
+        assert header == ["row", "col", "re", "im"]
+        assert _csv_text(rows) == _csv_text(_rep_rows_reference(payload["V"]))
+
+    def test_special_values_match_reference(self):
+        V = np.array([complex(a, b) for a in SPECIAL for b in SPECIAL[:4]]).reshape(len(SPECIAL), 4)
+        cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
+        _, rows = _csv_table(cfg, {"V": V})
+        assert _csv_text(rows) == _csv_text(_rep_rows_reference(V))
+
+
+def test_parser_is_built_once_and_keeps_no_values(tmp_path):
+    cfg = write_config(tmp_path, SHIFT4)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["orbit", "--config", cfg, "--hbar", "0.5", "--hbar", "0.75", "--profile", "poincare",
+                 "--out", str(first)]) == 0
+    assert main(["orbit", "--config", cfg, "--out", str(second)]) == 0
+    assert _build_parser() is _build_parser()
+    a, b = json.loads(first.read_text())["config"], json.loads(second.read_text())["config"]
+    assert a["hbars"] == [0.5, 0.75] and a["profiles"] == ["poincare"]
+    assert b["hbars"] == [] and b["profiles"] == []
+
+
+# sha256 of seeded reports of points and matrices, computed before the row-at-a-time
+# writer; the reports must stay byte-identical
+PIN_ELEMENT = {"terms": {"0": {"type": "poly", "coeffs": [0.5, [0.0, 1.0]]}, "1": {"type": "const", "value": [1.0, -2.0]}}}
+PINNED = {
+    "rep:dim4": ("rep", dict(SHIFT4, elements=[PIN_ELEMENT]), {
+        "json": "a212dac250245763d02b1a70dc46557cb92c6ed76614087cc9ee7b35c3f8de68",
+        "csv": "13511ddc0d55892eeccf67585f656ae1624c818fc5a9a5d5dedc2f6fb717c76a",
+    }),
+    "rep:dim64": ("rep", {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 1 / 64}, "base_point": 0.3,
+                          "truncation": 128, "elements": [PIN_ELEMENT]}, {
+        "json": "6fd3df33892b59764741a7e275c4d3d6ad86051ab4261164c2492e49d63b0712",
+        "csv": "e44648d5676416250d1edbf137fbe6277163675878100ccdc632963b30696d97",
+    }),
+    "orbit": ("orbit", {"family": {"kind": "custom", "interval": "[0, 1]", "hbar": 1 / 64, "forward": "x + h",
+                                   "inverse": "x - h"}, "base_point": 0.3, "truncation": 128}, {
+        "json": "92914395d1928b169bffa0d5725a0c3c10c5a442fe70bc71679253d918c57deb",
+        "csv": "c10a61aecdc3cd132c1aad4e77343fd5dcce134e6665794729b588038e338446",
+    }),
+}
+
+
+@pytest.mark.parametrize("label,fmt", [(label, fmt) for label in PINNED for fmt in ("json", "csv")])
+def test_seeded_report_bytes_are_pinned(tmp_path, label, fmt):
+    command, data, digests = PINNED[label]
+    cfg, out = write_config(tmp_path, data), tmp_path / f"report.{fmt}"
+    assert main([command, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]

@@ -1,0 +1,104 @@
+"""The CLI contract on arbitrary configs: exit 0, 1 or 2, never a traceback.
+
+Exit 2 must come with a machine-readable {"error", "context"} object as the
+last line on stderr. Sizes are bounded (truncation <= 64, grid_size <= 33,
+random_elements <= 2) so one example stays cheap.
+"""
+
+import contextlib
+import io
+import json
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+from fuzzcyl.cli import COMMANDS, main
+
+KINDS = ["shift", "plane_plus", "plane_minus", "poincare", "custom"]
+INTERVALS = ["[0,1]", "(0,1)", "[0,1)", "(0,1]", "[-0.025,1]", "[0,inf)", "(-inf,0]", "(-inf,inf)"]
+BAD_INTERVALS = ["[1,0]", "(0,0)", "[0,1", "interval", "", 5, None]
+EXPRESSIONS = [("x + h", "x - h"), ("x - h", "x + h"), ("2*x + h", "(x - h)/2"), ("x^2", "sqrt(x)")]
+BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"])]
+HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4]
+# zero, negative, tiny, just past the disc map's bound of about 0.828, large, and not a number
+EDGE_HBARS = [0.0, -0.25, 1e-12, 0.83, 0.9, 5.0, None]
+BASE_POINTS = [0.125, 0.05, 0.5, 0.3, 0.0, 1.0]
+OUTSIDE_POINTS = [1.5, -0.3, 1e9]
+
+
+def mostly(good, bad, odds=9):
+    """good, except one draw in odds + 1."""
+    return st.integers(0, odds).flatmap(lambda i: bad if i == 0 else good)
+
+
+def pick(values, bad_values):
+    return mostly(st.sampled_from(values), st.sampled_from(bad_values))
+
+
+steps = mostly(st.sampled_from(HBARS), st.sampled_from(EDGE_HBARS), odds=3)
+
+
+@st.composite
+def families(draw):
+    fam = {"kind": draw(pick(KINDS, ["torus"])), "interval": draw(pick(INTERVALS, BAD_INTERVALS)),
+           "hbar": draw(steps)}
+    if fam["kind"] == "custom":
+        fam["forward"], fam["inverse"] = draw(pick(EXPRESSIONS, BAD_EXPRESSIONS))
+    if draw(st.integers(0, 19)) == 0:
+        del fam[draw(st.sampled_from(["kind", "interval", "hbar"]))]
+    return fam
+
+
+coefficients = mostly(
+    st.one_of(
+        st.builds(lambda v: {"type": "const", "value": v}, st.sampled_from([1.0, [0.5, -1.0], 0.0])),
+        st.builds(lambda cs: {"type": "poly", "coeffs": cs},
+                  st.lists(st.sampled_from([1.0, 0.0, [0.0, 2.0]]), min_size=1, max_size=3)),
+        st.just({"type": "exp_wave", "k": 2.0}),
+    ),
+    st.sampled_from([{"type": "wobble"}, {"type": "poly", "coeffs": [[1.0]]}, {"value": 1.0}, {"type": "const", "value": "i"}, 5]),
+)
+elements = st.builds(
+    lambda terms: {"terms": terms},
+    st.dictionaries(st.sampled_from(["0", "1", "-1", "2"]), coefficients, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def configs(draw):
+    cfg = {}
+    if draw(st.integers(0, 9)):
+        cfg["family"] = draw(families())
+    if draw(st.integers(0, 9)):
+        cfg["base_point"] = draw(pick(BASE_POINTS, OUTSIDE_POINTS))
+    optional = {
+        "elements": mostly(st.lists(elements, min_size=2, max_size=2), st.lists(elements, max_size=1), odds=3),
+        "hbars": st.lists(steps, min_size=1, max_size=2),
+        "profiles": st.lists(pick(["plane_plus", "plane_minus", "poincare"], ["torus"]), min_size=1, max_size=2),
+        "truncation": mostly(st.integers(1, 64), st.sampled_from([0, -3])),
+        "grid_size": mostly(st.integers(2, 33), st.sampled_from([1, 0])),
+        "tolerance": st.sampled_from([1e-9, 1e-12, 1e-3]),
+        "random_elements": st.integers(0, 2),
+        "seed": mostly(st.integers(0, 20), st.just(-1)),
+        "format": st.sampled_from(["json", "csv"]),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(strategy)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS), cfg=configs())
+def test_exit_code_and_error_object(tmp_path_factory, command, cfg):
+    work = tmp_path_factory.getbasetemp()
+    cfg_path, out_path = work / "contract.cfg.json", work / "contract.out"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy on a map evaluated outside its domain
+        code = main([command, "--config", str(cfg_path), "--out", str(out_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        obj = json.loads(err.getvalue().splitlines()[-1])
+        assert set(obj) == {"error", "context"}

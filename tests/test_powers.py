@@ -146,3 +146,51 @@ class TestSubUlpChainIntervals:
         assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["M"] == 10 and report["pass"]
+
+
+class TestOpenCarrierEnds:
+    """A sub-ulp chain interval whose image rounds onto an excluded carrier end."""
+
+    CARRIERS = ("(0,1)", "[0,1)", "(0,1]", "[0,1]")
+    STEPS = (1 / 3, 0.1, 1 / 7, 0.2, 0.25, 0.3)
+    # the chain at h = 1/3 on a carrier open at 1: 3 * (1/3) rounds onto the excluded end
+    OPEN_TOP = [(kind, iv) for kind in TRANSLATIONS for iv in ("(0,1)", "[0,1)")]
+    # sha256 over interval_n(-40..40) and nilpotency_degree() of the other 66 combinations
+    # of the grid, computed before the fix: they must stay bit-identical
+    REST_DIGEST = "4e32ce814cb938bcfb786853c62fe55be05ab13a4bf58c69db420880fab6b9ea"
+
+    @pytest.mark.parametrize("kind,interval", OPEN_TOP)
+    def test_composed_and_iterated_ranges_agree(self, kind, interval):
+        alg = CrossedProductAlgebra(make_family(kind, Interval.parse(interval), 1 / 3).generator)
+        ranges = [alg.interval_n(n) for n in NS]  # raised the power self-check at k = 3
+        # the power that would land on the excluded end is empty
+        toward_top = 3 if kind != "plane_plus" else -3
+        assert ranges[NS.index(toward_top)].is_empty
+        # plane_plus climbs through its inverse; its third positive power keeps a sub-ulp range at 0
+        assert alg.nilpotency_degree() == (4 if kind == "plane_plus" else 3)
+
+    def test_rest_of_grid_unchanged(self):
+        import hashlib
+        import itertools
+
+        digest = hashlib.sha256()
+        for kind, interval, hbar in itertools.product(TRANSLATIONS, self.CARRIERS, self.STEPS):
+            if hbar == 1 / 3 and (kind, interval) in self.OPEN_TOP:
+                continue
+            alg = CrossedProductAlgebra(make_family(kind, Interval.parse(interval), hbar).generator)
+            digest.update(repr(([alg.interval_n(n) for n in NS], alg.nilpotency_degree())).encode())
+        assert digest.hexdigest() == self.REST_DIGEST
+
+    @pytest.mark.parametrize("command", ["algebra-check", "oracle"])
+    def test_cli_runs_on_open_carrier(self, tmp_path, command):
+        import json
+
+        from fuzzcyl.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"kind": "shift", "interval": "(0, 1)", "hbar": 1 / 3},
+            "base_point": 0.1,
+            "random_elements": 2,
+        }))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
