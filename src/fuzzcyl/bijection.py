@@ -75,7 +75,7 @@ class PartialBijection:
 
 
 def identity_on(carrier: Interval) -> PartialBijection:
-    return PartialBijection(carrier, carrier, carrier, _identity_map, _identity_map, "id")
+    return PartialBijection(carrier, carrier, carrier, _identity_map, _identity_map, "id", 0.0)
 
 
 def empty_bijection(carrier: Interval) -> PartialBijection:
@@ -382,11 +382,6 @@ def make_family(
         beta=beta,
         custom_exprs=custom_exprs,
     )
-
-
-def restricted_shift_action(interval: Interval, hbar: float, n: int) -> PartialBijection:
-    """The n-th power of the step-hbar shift restricted to the interval."""
-    return power(make_family("shift", interval, hbar).generator, n)
 
 
 def family_from_descriptor(desc: dict) -> BijectionFamily:

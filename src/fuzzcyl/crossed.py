@@ -76,7 +76,7 @@ class CrossedProductAlgebra:
                 )
             clipped = fn.restrict(iv)
             if not clipped.support.is_empty:
-                out[n] = clipped
+                out[n] = clipped.memoized()
         return CrossedProductElement(self, out)
 
     def zero(self) -> "CrossedProductElement":
@@ -140,10 +140,11 @@ class CrossedProductAlgebra:
         self._own(x)
         self._own(y)
         xs = self.carrier.grid(grid_size)
+        memo: dict = {}
         worst = 0.0
         for n in set(x.terms) | set(y.terms):
-            fx = x.terms[n](xs) if n in x.terms else np.zeros(xs.shape, complex)
-            fy = y.terms[n](xs) if n in y.terms else np.zeros(xs.shape, complex)
+            fx = x.terms[n](xs, memo) if n in x.terms else np.zeros(xs.shape, complex)
+            fy = y.terms[n](xs, memo) if n in y.terms else np.zeros(xs.shape, complex)
             worst = max(worst, float(np.max(np.abs(fx - fy))) if xs.size else 0.0)
         return worst
 
@@ -232,10 +233,6 @@ class Cylinder(CrossedProductAlgebra):
     def order(self) -> int | None:
         """Nilpotency degree of the step element for the finite kind, else None."""
         return self.nilpotency_degree()
-
-
-def make_cylinder(kind: str, interval: Interval, hbar: float) -> Cylinder:
-    return Cylinder(kind, interval, hbar)
 
 
 # -- checks ----------------------------------------------------------

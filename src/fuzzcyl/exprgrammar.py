@@ -171,6 +171,8 @@ def compile_expression(text: str) -> Callable[[np.ndarray, float], np.ndarray]:
     node = _Parser(_tokenize(text), text).parse()
 
     def fn(x, h=0.0):
-        return _evaluate(node, np.asarray(x, dtype=float), h)
+        # off its domain a map gives NaN or inf, which the family checks report
+        with np.errstate(all="ignore"):
+            return _evaluate(node, np.asarray(x, dtype=float), h)
 
     return fn

@@ -1,15 +1,19 @@
 """Complex-valued functions carrying an explicit support interval.
 
-Every function is a closure plus metadata: values outside the declared
-support are hard zero regardless of what the underlying formula would
-return, so multiplying by a partial identity or pulling back along a
-partial bijection can never leak values off the allowed set. Comparison
-is grid-based; exactness claims elsewhere reduce to indicator algebra.
+A function is a node of a coefficient expression: a leaf formula, or a sum,
+product, scale, conjugate, derivative, pullback or angle mode of functions.
+Values outside the declared support are hard zero regardless of what the
+underlying formula would return, so multiplying by a partial identity or
+pulling back along a partial bijection can never leak values off the allowed
+set. Evaluations sharing a `memo` dict form a pass (a top-level call, or one
+`distance`, `represent`, `CylinderFunction.eval` or `classical_limit_check`)
+that computes each memoized function (the coefficients of crossed-product
+elements) and each power's preimages at most once per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,44 +31,37 @@ class SupportViolation(ValueError):
     """Raised when a function's support escapes the set an operation requires."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SupportedFunction:
     """A bounded complex function on `carrier`, zero outside `support`.
 
-    `raw` is the defining formula; it must accept numpy arrays and be valid
-    at least on the support. `deriv`, when present, is the analytic
-    derivative of the formula (used by the Poisson machinery; a central
-    difference of `raw` is the fallback).
+    A leaf (`op` "leaf") has its formula in `raw`, which must accept numpy
+    arrays and be valid at least on the support, and may have its analytic
+    derivative in `deriv`. Any other `op` acts on `args` (see `_values`).
     """
 
     support: Interval
-    raw: RawMap
+    raw: RawMap | None
     carrier: Interval
-    label: str = ""
     deriv: RawMap | None = None
+    op: str = "leaf"
+    args: tuple = ()
 
-    def __call__(self, x):
-        scalar = np.isscalar(x) or (hasattr(x, "ndim") and np.asarray(x).ndim == 0)
+    def __call__(self, x, memo: dict | None = None):
+        """Values at x; evaluations passing one memo share their work."""
         xs = np.asarray(x, dtype=float)
-        out = np.zeros(xs.shape, dtype=complex)
-        if not self.support.is_empty:
-            mask = self.support.contains(xs, DEFAULT_TOL)
-            if np.any(mask):
-                vals = np.asarray(self.raw(xs[mask]), dtype=complex)
-                out[mask] = vals
-        return complex(out[()]) if scalar else out
+        pts = xs if xs.ndim == 1 else xs.reshape(-1)
+        out = _masked(self, pts, np.ones(pts.shape, dtype=bool), {} if memo is None else memo)
+        return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    def _node(self, op: str, *args, support: Interval | None = None) -> "SupportedFunction":
+        return SupportedFunction(self.support if support is None else support, None, self.carrier, None, op, args)
 
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "SupportedFunction") -> "SupportedFunction":
         self._check_carrier(other)
-        a, b = self, other
-        return SupportedFunction(
-            support=a.support.hull(b.support),
-            raw=lambda xs: a(xs) + b(xs),
-            carrier=a.carrier,
-            label=_join(a.label, "+", b.label),
-        )
+        return self._node("sum", self, other, support=self.support.hull(other.support))
 
     def __sub__(self, other: "SupportedFunction") -> "SupportedFunction":
         return self + (-other)
@@ -74,50 +71,34 @@ class SupportedFunction:
 
     def __mul__(self, other: "SupportedFunction") -> "SupportedFunction":
         self._check_carrier(other)
-        a, b = self, other
-        return SupportedFunction(
-            support=a.support.intersect(b.support),
-            raw=lambda xs: np.asarray(a.raw(xs), dtype=complex) * np.asarray(b.raw(xs), dtype=complex),
-            carrier=a.carrier,
-            label=_join(a.label, "*", b.label),
-        )
+        return self._node("product", self, other, support=self.support.intersect(other.support))
 
     def scale(self, c: complex) -> "SupportedFunction":
         c = complex(c)
         if c == 0:
             return zero_function(self.carrier)
-        raw = self.raw
-        f = replace(self, raw=lambda xs: c * np.asarray(raw(xs), dtype=complex))
-        if self.deriv is not None:
-            d = self.deriv
-            f = replace(f, deriv=lambda xs: c * np.asarray(d(xs), dtype=complex))
-        return f
+        return self._node("scale", self, c)
 
     def conj(self) -> "SupportedFunction":
-        raw = self.raw
-        d = self.deriv
-        return replace(
-            self,
-            raw=lambda xs: np.conjugate(np.asarray(raw(xs), dtype=complex)),
-            deriv=None if d is None else (lambda xs: np.conjugate(np.asarray(d(xs), dtype=complex))),
-            label=f"conj({self.label})" if self.label else "",
-        )
+        return self._node("conj", self)
 
     def restrict(self, iv: Interval) -> "SupportedFunction":
-        return replace(self, support=self.support.intersect(iv))
+        return SupportedFunction(self.support.intersect(iv), self.raw, self.carrier, self.deriv, self.op, self.args)
+
+    def memoized(self) -> "SupportedFunction":
+        """This function, evaluated at most once per point within a pass."""
+        return self if self.op == "memo" else self._node("memo", self)
 
     def derivative(self, step: float = 1e-5) -> "SupportedFunction":
-        if self.deriv is not None:
-            return replace(self, raw=self.deriv, deriv=None, label=f"d({self.label})")
-        raw = self.raw
-
-        def central(xs):
-            xs = np.asarray(xs, dtype=float)
-            hi = np.asarray(raw(xs + step), dtype=complex)
-            lo = np.asarray(raw(xs - step), dtype=complex)
-            return (hi - lo) / (2.0 * step)
-
-        return replace(self, raw=central, deriv=None, label=f"d({self.label})")
+        """The analytic derivative where every leaf below has one, else a central difference."""
+        d = None
+        if self.op == "leaf" and self.deriv is not None:
+            d = SupportedFunction(self.support, self.deriv, self.carrier)
+        elif self.op in ("memo", "scale", "conj"):
+            inner = self.args[0].derivative(step)
+            if inner.op != "derivative":
+                d = inner.restrict(self.support) if self.op == "memo" else self._node(self.op, inner, *self.args[1:])
+        return self._node("derivative", self, step) if d is None else d
 
     @property
     def is_zero(self) -> bool:
@@ -128,17 +109,83 @@ class SupportedFunction:
             raise ValueError("functions live on different carrier intervals")
 
 
-def _join(a: str, op: str, b: str) -> str:
-    if a and b:
-        return f"({a}{op}{b})"
-    return ""
+# -- evaluation --------------------------------------------------------
+
+
+def _masked(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) -> np.ndarray:
+    """f where need holds and xs lies in f's support, hard zero elsewhere."""
+    mask = need & _in_support(f.support, xs, memo)
+    if not np.count_nonzero(mask):
+        return np.zeros(xs.shape, dtype=complex)
+    return np.where(mask, _values(f, xs, mask, memo), 0)
+
+
+def _in_support(support: Interval, xs: np.ndarray, memo: dict) -> np.ndarray:
+    """support.contains(xs), once per pass for each support and point array."""
+    key = (support, id(xs))
+    if key not in memo:
+        memo[key] = (xs, support.contains(xs, DEFAULT_TOL))
+    return memo[key][1]
+
+
+def _values(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) -> np.ndarray:
+    """f's formula at the 1-d array xs where need holds (elsewhere unspecified).
+
+    It ignores f's own support: a product multiplies its factors' formulas,
+    while a sum and a pullback mask their arguments by their supports."""
+    op, args = f.op, f.args
+    if op == "leaf":
+        out = np.zeros(xs.shape, dtype=complex)
+        out[need] = f.raw(xs[need])
+        return out
+    if op == "memo":
+        g = args[0]
+        return _cached(memo, g, xs, need, f.support, lambda mask: _values(g, xs, mask, memo)[mask])
+    if op == "sum":
+        return _masked(args[0], xs, need, memo) + _masked(args[1], xs, need, memo)
+    if op == "product":
+        return _values(args[0], xs, need, memo) * _values(args[1], xs, need, memo)
+    if op == "scale":
+        return args[1] * _values(args[0], xs, need, memo)
+    if op == "conj":
+        return np.conjugate(_values(args[0], xs, need, memo))
+    if op == "derivative":
+        g, step = args
+        return (_values(g, xs + step, need, memo) - _values(g, xs - step, need, memo)) / (2.0 * step)
+    if op == "pullback":
+        g, pb = args
+        zs = _cached(memo, pb, xs, need, pb.range, lambda mask: pb.inverse(xs[mask]))
+        return _masked(g, zs, need, memo)
+    if op == "mode":  # column of an angle spectrum, see star.psi_inv
+        spectrum, column, factor = args
+        return factor * _cached(memo, spectrum, xs, need, f.carrier, lambda mask: spectrum(xs[mask]))[:, column]
+    raise ValueError(f"unknown coefficient node {op!r}")
+
+
+def _cached(memo: dict, owner, xs: np.ndarray, need: np.ndarray, span: Interval, rows) -> np.ndarray:
+    """Array over xs holding rows(need) where need holds, each point computed once per pass.
+
+    The first request for (owner, xs) also computes the points in span; a later
+    one adds its missing points to a copy, so an array handed out never changes
+    (caches keyed by its id rely on that). Entries never computed are NaN."""
+    key = (id(owner), id(xs))
+    entry = memo.get(key)
+    have = need | _in_support(span, xs, memo) if entry is None else entry[3]
+    extra = have if entry is None else need > have
+    if entry is not None and not np.count_nonzero(extra):
+        return entry[2]
+    new = rows(extra)
+    vals = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype) if entry is None else entry[2].copy()
+    vals[extra] = new
+    memo[key] = (owner, xs, vals, have | extra)  # keeps owner and xs, so their ids stay unique
+    return vals
 
 
 # -- constructors ----------------------------------------------------
 
 
 def zero_function(carrier: Interval) -> SupportedFunction:
-    return SupportedFunction(EMPTY, lambda xs: np.zeros(np.shape(xs), complex), carrier, "0")
+    return SupportedFunction(EMPTY, lambda xs: np.zeros(np.shape(xs), complex), carrier)
 
 
 def constant(value: complex, carrier: Interval, support: Interval | None = None) -> SupportedFunction:
@@ -149,7 +196,6 @@ def constant(value: complex, carrier: Interval, support: Interval | None = None)
         support=carrier if support is None else support,
         raw=lambda xs: np.full(np.shape(xs), value, dtype=complex),
         carrier=carrier,
-        label=f"{value}",
         deriv=lambda xs: np.zeros(np.shape(xs), complex),
     )
 
@@ -160,12 +206,11 @@ def partial_identity(iv: Interval, carrier: Interval) -> SupportedFunction:
         support=iv.intersect(carrier),
         raw=lambda xs: np.ones(np.shape(xs), dtype=complex),
         carrier=carrier,
-        label=f"1_{iv}",
         deriv=lambda xs: np.zeros(np.shape(xs), complex),
     )
 
 
-def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval | None = None, label: str = "") -> SupportedFunction:
+def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval | None = None) -> SupportedFunction:
     """Polynomial with ascending coefficients c0 + c1 x + c2 x^2 + ..."""
     cs = np.asarray(list(coeffs), dtype=complex)
     if cs.size == 0:
@@ -175,7 +220,6 @@ def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval |
         support=carrier if support is None else support,
         raw=lambda xs: np.polynomial.polynomial.polyval(np.asarray(xs, float), cs),
         carrier=carrier,
-        label=label or "poly",
         deriv=lambda xs: np.polynomial.polynomial.polyval(np.asarray(xs, float), dcs)
         if dcs.size
         else np.zeros(np.shape(xs), complex),
@@ -188,7 +232,6 @@ def exp_wave(k: float, carrier: Interval, support: Interval | None = None) -> Su
         support=carrier if support is None else support,
         raw=lambda xs: np.exp(1j * k * np.asarray(xs, dtype=float)),
         carrier=carrier,
-        label=f"exp({k}ix)",
         deriv=lambda xs: 1j * k * np.exp(1j * k * np.asarray(xs, dtype=float)),
     )
 
@@ -209,7 +252,7 @@ def sqrt_affine(a: float, b: float, carrier: Interval, support: Interval | None 
         out[good] = b / (2.0 * np.sqrt(vals[good]))
         return out
 
-    return SupportedFunction(sup, raw, carrier, f"sqrt({a}+{b}x)", deriv)
+    return SupportedFunction(sup, raw, carrier, deriv)
 
 
 def _affine_nonneg_region(a: float, b: float) -> Interval:
@@ -271,13 +314,10 @@ def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
         raise SupportViolation(
             f"support {f.support} is not inside the bijection domain {pb.domain}"
         )
-    new_support = image_monotone(f.support.intersect(pb.domain), pb.forward)
-    inv = pb.inverse
-
-    def raw(ys):
-        return f(inv(np.asarray(ys, dtype=float)))
-
-    return SupportedFunction(new_support, raw, f.carrier, f"pb({f.label})" if f.label else "")
+    iv = f.support.intersect(pb.domain)
+    # a translation's image is exact, so it needs no sampled monotonicity check
+    support = image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
+    return f._node("pullback", f, pb, support=support)
 
 
 def residual(f: SupportedFunction, g: SupportedFunction, grid_size: int = 101) -> float:

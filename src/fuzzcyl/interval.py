@@ -137,8 +137,8 @@ class Interval:
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         """Membership with tolerance; accepts scalars or numpy arrays."""
-        scalar = np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0)
         xs = np.asarray(x, dtype=float)
+        scalar = xs.ndim == 0
         if self.is_empty:
             res = np.zeros(xs.shape, dtype=bool)
             return bool(res) if scalar else res
@@ -249,6 +249,15 @@ class Interval:
                 except ValueError:
                     pass
         return [p for p in pieces if not p.is_empty]
+
+    def shifted(self, offset: float) -> "Interval":
+        """Image under x -> x + offset: the floats `image_monotone` gives, without its sampled check."""
+        if self.is_empty:
+            return EMPTY
+        lo, hi = self.lo + offset, self.hi + offset
+        if lo == hi:
+            return Interval.point(lo)
+        return Interval(lo, hi, self.lo_closed and math.isfinite(lo), self.hi_closed and math.isfinite(hi))
 
     # -- sampling -----------------------------------------------------
 

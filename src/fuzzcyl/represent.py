@@ -254,8 +254,9 @@ def matrix_rep(orbit: OrbitSpec) -> MatrixRep:
 def represent(x: CrossedProductElement, rep: MatrixRep) -> np.ndarray:
     """Matrix of an element: each sampled coefficient scattered along its step's index map."""
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    memo: dict = {}
     for n, fn in x.terms.items():
-        add_step_term(out, rep.index_map(n), n, fn(rep.orbit.points))
+        add_step_term(out, rep.index_map(n), n, fn(rep.orbit.points, memo))
     return out
 
 

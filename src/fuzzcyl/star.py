@@ -3,8 +3,9 @@
 A crossed-product element with steps n maps to the function sum f_n(x)e^{in phi}
 on interval x cylinder; multiplying elements and mapping back defines the star
 product of such functions. Fourier modes are recovered by an equispaced
-quadrature that is exact for the trigonometric degrees in play; content above
-the declared degree cannot be distinguished from lower modes, so it raises.
+quadrature that is exact for the trigonometric degrees in play, all of them
+read from one FFT of the samples; content above the declared degree cannot be
+distinguished from lower modes, so it raises.
 
 As the step shrinks, the star commutator contracts to a first-order bracket
 whose coefficient is the step-derivative of the bijection family at zero.
@@ -21,7 +22,7 @@ import numpy as np
 from .interval import Interval
 from .bijection import BijectionFamily
 from .crossed import CrossedProductAlgebra, CrossedProductElement
-from .functions import SupportedFunction
+from .functions import SupportedFunction, zero_function
 
 
 class AliasingError(ValueError):
@@ -44,8 +45,9 @@ class CylinderFunction:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
         out = np.zeros((xs.size, phis.size), dtype=complex)
+        memo: dict = {}
         for n, fn in self.coefficients.items():
-            out += fn(xs)[:, None] * np.exp(1j * n * phis)[None, :]
+            out += fn(xs, memo)[:, None] * np.exp(1j * n * phis)[None, :]
         return out
 
     def phi_derivative(self) -> "CylinderFunction":
@@ -55,14 +57,7 @@ class CylinderFunction:
             self.algebra,
         )
 
-    def x_derivative(self) -> "CylinderFunction":
-        return CylinderFunction(
-            self.carrier, {n: fn.derivative() for n, fn in self.coefficients.items()}, self.algebra
-        )
-
     def coefficient(self, n: int) -> SupportedFunction:
-        from .functions import zero_function
-
         return self.coefficients.get(n, zero_function(self.carrier))
 
 
@@ -83,46 +78,34 @@ def psi_inv(
     f may be a CylinderFunction or a plain callable f(xs, phi). The node count
     K = 4*max_n + 1 makes the trapezoidal mode integrals exact through degree
     2*max_n, which is what lets the aliasing probe below actually see folded
-    content instead of silently absorbing it.
+    content instead of silently absorbing it. At nodes phi_j = -pi + 2 pi j/K,
+    mode n is (-1)^n/K times entry n mod K of the FFT of f(x, phi_j) over j.
     """
     if isinstance(f, CylinderFunction):
         algebra = algebra or f.algebra
         max_n = f.top_mode if max_n is None else max_n
-
-        def sample(xs, phi):
-            return f.eval(xs, np.array([phi]))[:, 0]
-
+        sample = f.eval
     else:
         if algebra is None or max_n is None:
             raise ValueError("callable input needs an explicit algebra and top mode")
 
-        def sample(xs, phi):
-            return np.asarray(f(np.asarray(xs, dtype=float), phi), dtype=complex)
+        def sample(xs, phis):
+            return np.stack([np.broadcast_to(f(xs, float(phi)), xs.shape) for phi in phis], axis=1).astype(complex)
 
     if algebra is None:
         raise ValueError("no algebra to rebuild the element in")
     max_n = int(max_n)
     K = 4 * max_n + 1
     nodes = -math.pi + 2.0 * math.pi * np.arange(K) / K
-    weights = {n: np.exp(-1j * n * nodes) / K for n in range(-2 * max_n, 2 * max_n + 1)}
 
-    def mode_raw(n: int):
-        w = weights[n]
-
-        def raw(xs):
-            xs = np.asarray(xs, dtype=float)
-            acc = np.zeros(xs.shape, dtype=complex)
-            for j, phi in enumerate(nodes):
-                acc += sample(xs, float(phi)) * w[j]
-            return acc
-
-        return raw
+    def spectrum(xs):
+        return np.fft.fft(sample(xs, nodes), axis=1)
 
     probe = algebra.carrier.grid(grid_size)
+    peaks = np.max(np.abs(spectrum(probe)), axis=0, initial=0.0) / K
     for n in range(max_n + 1, 2 * max_n + 1):
         for sign in (1, -1):
-            vals = mode_raw(sign * n)(probe)
-            peak = float(np.max(np.abs(vals))) if probe.size else 0.0
+            peak = float(peaks[(sign * n) % K])
             if peak > alias_tol:
                 raise AliasingError(
                     f"mode {sign * n} carries weight {peak:.3g} above the declared top mode {max_n}"
@@ -133,12 +116,7 @@ def psi_inv(
         support = algebra.interval_n(n)
         if support.is_empty:
             continue
-        fn = SupportedFunction(
-            support=support,
-            raw=mode_raw(n),
-            carrier=algebra.carrier,
-            label=f"mode{n}",
-        )
+        fn = SupportedFunction(support, None, algebra.carrier, op="mode", args=(spectrum, n % K, (-1) ** n / K))
         inner = support.interior_grid(grid_size)
         peak = float(np.max(np.abs(fn(inner)))) if inner.size else 0.0
         if peak <= alias_tol:
@@ -186,7 +164,7 @@ class PoissonCoefficient:
 
 def _beta_function(beta, carrier: Interval) -> SupportedFunction:
     fn = beta.beta if isinstance(beta, PoissonCoefficient) else beta
-    return SupportedFunction(carrier, lambda xs: np.asarray(fn(xs), dtype=complex), carrier, "beta")
+    return SupportedFunction(carrier, lambda xs: np.asarray(fn(xs), dtype=complex), carrier)
 
 
 def poisson_bracket(
@@ -237,7 +215,8 @@ def classical_limit_check(
     set by the largest step in the sweep and held fixed, so every row takes
     its sup over the same set; letting the window grow as h shrinks would
     fold window motion into the fitted order. The star commutator divided by
-    -i*h is compared against the bracket at the smallest step.
+    -i*h is compared against the bracket at the smallest step. The check is one
+    evaluation pass, so each coefficient is evaluated once on the window.
     """
     hbars = sorted(float(h) for h in hbars)
     if not hbars or hbars[0] <= 0:
@@ -245,6 +224,7 @@ def classical_limit_check(
     beta = beta or PoissonCoefficient.for_family(family)
     b = _beta_function(beta, family.interval)
     xs = _margin_grid(family.interval, hbars[-1], grid_size, margin_mul)
+    memo: dict = {}
 
     rows = []
     smallest = None
@@ -269,18 +249,18 @@ def classical_limit_check(
                 keys.add(k + l)
         worst = 0.0
         for n in keys:
-            pv = prod.terms[n](xs) if n in prod.terms else np.zeros(xs.shape, complex)
+            pv = prod.terms[n](xs, memo) if n in prod.terms else np.zeros(xs.shape, complex)
             pw = np.zeros(xs.shape, complex)
             for k, fk in x.terms.items():
                 l = n - k
                 if l in y.terms:
-                    pw += fk(xs) * y.terms[l](xs)
-            cv = corr[n](xs) if n in corr else np.zeros(xs.shape, complex)
+                    pw += fk(xs, memo) * y.terms[l](xs, memo)
+            cv = corr[n](xs, memo) if n in corr else np.zeros(xs.shape, complex)
             defect = (pv - pw) / h - 1j * cv
             worst = max(worst, float(np.max(np.abs(defect))))
         rows.append({"hbar": h, "residual": worst})
         if h == hbars[0]:
-            smallest = (alg, x, y)
+            smallest = (x, y, prod)
 
     logs = [(math.log(r["hbar"]), math.log(r["residual"])) for r in rows if r["residual"] > 1e-15]
     if len(logs) >= 2:
@@ -292,9 +272,9 @@ def classical_limit_check(
         fitted_order = math.inf  # defect vanished identically: faster than any power
         order_ok = True
 
-    alg, x, y = smallest
+    x, y, prod = smallest
     h = hbars[0]
-    comm = x * y - y * x
+    comm = prod - y * x
     fcf = CylinderFunction(family.interval, dict(f_coeffs))
     gcf = CylinderFunction(family.interval, dict(g_coeffs))
     bracket = poisson_bracket(fcf, gcf, beta)
@@ -302,8 +282,8 @@ def classical_limit_check(
     num = 0.0
     den = 0.0
     for n in keys:
-        cv = comm.terms[n](xs) if n in comm.terms else np.zeros(xs.shape, complex)
-        bv = bracket.coefficient(n)(xs)
+        cv = comm.terms[n](xs, memo) if n in comm.terms else np.zeros(xs.shape, complex)
+        bv = bracket.coefficient(n)(xs, memo)
         num = max(num, float(np.max(np.abs(cv / (-1j * h) - bv))))
         den = max(den, float(np.max(np.abs(bv))))
     bracket_rel_err = num / den if den > 0 else (0.0 if num == 0 else math.inf)

@@ -69,7 +69,7 @@ def make_reparametrization(chart: PartialBijection, profile: CommutatorProfile, 
         vals = fwd(np.asarray(us, dtype=float))
         return vals + 0.5 * hbar * np.asarray(profile.C(vals), dtype=float)
 
-    weight = SupportedFunction(support=J, raw=weight_raw, carrier=J, label="weight")
+    weight = SupportedFunction(support=J, raw=weight_raw, carrier=J)
     return Reparametrization(chart, weight)
 
 
@@ -230,7 +230,7 @@ def assemble(
     def root_raw(us):
         return np.sqrt(np.clip(np.real(weight(np.asarray(us, dtype=float))), 0.0, None)).astype(complex)
 
-    root = SupportedFunction(support=weight.support, raw=root_raw, carrier=alg.carrier, label="sqrt-weight")
+    root = SupportedFunction(support=weight.support, raw=root_raw, carrier=alg.carrier)
     gen = alg.element({1: root})
 
     js = alg.carrier.grid(grid_size)

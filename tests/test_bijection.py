@@ -14,7 +14,6 @@ from fuzzcyl.bijection import (
     make_family,
     poincare_validity_bound,
     power,
-    restricted_shift_action,
 )
 
 UNIT = Interval.closed(0.0, 1.0)
@@ -38,7 +37,7 @@ class TestShiftFamily:
         assert p.range == Interval.closed(0.5, 1.0)
 
     def test_negative_power_example(self):
-        p = restricted_shift_action(UNIT, 0.25, -2)
+        p = power(shift_gen(), -2)
         assert p.domain == Interval.closed(0.5, 1.0)
         assert p.range == Interval.closed(0.0, 0.5)
 

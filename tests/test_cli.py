@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fuzzcyl
 from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _csv_table, _emit, _json_text, main
 
 SHIFT4 = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125}
@@ -273,6 +277,24 @@ def test_escapes_exit_two_with_json_error(tmp_path, capsys, command, data, detai
     assert main([command, "--config", cfg]) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert set(err) == {"error", "context"} and detail in err["context"]["detail"]
+
+
+def test_custom_map_off_its_domain_leaves_only_the_json_error_on_stderr(tmp_path):
+    # the inverse sqrt(x) is evaluated below 0 while the pair is checked
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "custom", "interval": "[0,inf)", "hbar": 1.0, "forward": "x - h", "inverse": "sqrt(x)"},
+        "base_point": 0.5, "random_elements": 2,
+    })
+    src = os.path.dirname(os.path.dirname(fuzzcyl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from fuzzcyl.cli import main; sys.exit(main(sys.argv[1:]))",
+         "algebra-check", "--config", cfg],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert set(json.loads(lines[0])) == {"error", "context"}
 
 
 # -- report emission ---------------------------------------------------

@@ -6,9 +6,9 @@ from fuzzcyl.interval import Interval
 from fuzzcyl.bijection import PartialBijection
 from fuzzcyl.crossed import (
     CrossedProductAlgebra,
+    Cylinder,
     equal_as_cyl,
     fixed_point_subalgebra_check,
-    make_cylinder,
     u_relations_check,
 )
 from fuzzcyl.functions import SupportViolation, polynomial
@@ -17,21 +17,21 @@ UNIT = Interval.closed(0.0, 1.0)
 
 
 def quarter_cylinder():
-    return make_cylinder("finite", UNIT, 0.25)
+    return Cylinder("finite", UNIT, 0.25)
 
 
 class TestCylinderConstruction:
     def test_kind_shape_validation(self):
         with pytest.raises(ValueError):
-            make_cylinder("finite", Interval.at_least(0.0), 0.25)
+            Cylinder("finite", Interval.at_least(0.0), 0.25)
         with pytest.raises(ValueError):
-            make_cylinder("infinite", UNIT, 0.25)
+            Cylinder("infinite", UNIT, 0.25)
         with pytest.raises(ValueError):
-            make_cylinder("half_finite", Interval.real_line(), 0.25)
+            Cylinder("half_finite", Interval.real_line(), 0.25)
         with pytest.raises(ValueError):
-            make_cylinder("finite", UNIT, 0.0)
+            Cylinder("finite", UNIT, 0.0)
         with pytest.raises(ValueError):
-            make_cylinder("ring", UNIT, 0.25)
+            Cylinder("ring", UNIT, 0.25)
 
     def test_quarter_step_chain_and_order(self):
         cyl = quarter_cylinder()
@@ -41,14 +41,14 @@ class TestCylinderConstruction:
         assert cyl.interval_n(5).is_empty
 
     def test_incommensurate_step_order(self):
-        cyl = make_cylinder("finite", UNIT, 0.3)
+        cyl = Cylinder("finite", UNIT, 0.3)
         assert cyl.order == 4
         assert not cyl.interval_n(3).is_empty
 
     def test_half_and_infinite_have_no_order(self):
-        assert make_cylinder("half_finite", Interval.at_least(0.0), 0.25).order is None
-        assert make_cylinder("infinite", Interval.real_line(), 0.25).order is None
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.25)
+        assert Cylinder("half_finite", Interval.at_least(0.0), 0.25).order is None
+        assert Cylinder("infinite", Interval.real_line(), 0.25).order is None
+        cyl = Cylinder("infinite", Interval.real_line(), 0.25)
         assert cyl.interval_n(3) == Interval.real_line()
 
 
@@ -83,8 +83,8 @@ class TestProducts:
     def test_u_relations_all_kinds(self):
         for alg in (
             quarter_cylinder(),
-            make_cylinder("half_finite", Interval.at_least(0.0), 0.25),
-            make_cylinder("infinite", Interval.real_line(), 0.25),
+            Cylinder("half_finite", Interval.at_least(0.0), 0.25),
+            Cylinder("infinite", Interval.real_line(), 0.25),
         ):
             report = u_relations_check(alg)
             assert report["pass"], report
@@ -107,7 +107,7 @@ class TestProducts:
         assert cyl.nilpotency_degree() == 5
 
     def test_nilpotency_incommensurate(self):
-        cyl = make_cylinder("finite", UNIT, 0.3)
+        cyl = Cylinder("finite", UNIT, 0.3)
         u = cyl.generator_u()
         assert not u.pow(3).is_zero
         assert u.pow(4).is_zero
@@ -115,7 +115,7 @@ class TestProducts:
 
     def test_smallest_vanishing_power_matches_chain(self):
         for hbar in (0.25, 0.3):
-            cyl = make_cylinder("finite", UNIT, hbar)
+            cyl = Cylinder("finite", UNIT, hbar)
             u = cyl.generator_u()
             k = 1
             x = u
@@ -133,7 +133,7 @@ class TestProducts:
 
     def test_involution_antihomomorphism(self):
         rng = np.random.default_rng(103)
-        for alg in (quarter_cylinder(), make_cylinder("infinite", Interval.real_line(), 0.5)):
+        for alg in (quarter_cylinder(), Cylinder("infinite", Interval.real_line(), 0.5)):
             for _ in range(15):
                 x, y = (random_cp_element(alg, rng) for _ in range(2))
                 assert (x * y).adjoint().distance(y.adjoint() * x.adjoint()) <= 1e-9

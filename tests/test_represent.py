@@ -6,7 +6,7 @@ import pytest
 from conftest import random_cp_element
 from fuzzcyl.interval import DEFAULT_TOL, Interval
 from fuzzcyl.bijection import make_family
-from fuzzcyl.crossed import CrossedProductAlgebra, make_cylinder
+from fuzzcyl.crossed import CrossedProductAlgebra, Cylinder
 from fuzzcyl.functions import polynomial, pullback
 from fuzzcyl.represent import (
     build_orbit,
@@ -21,7 +21,7 @@ UNIT = Interval.closed(0.0, 1.0)
 
 class TestOrbits:
     def test_generic_orbit_points(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         orbit = build_orbit(cyl.alpha, 0.125)
         assert orbit.dim == 4
         assert np.allclose(orbit.points, [0.125, 0.375, 0.625, 0.875])
@@ -29,18 +29,18 @@ class TestOrbits:
         assert not orbit.truncated
 
     def test_base_point_inside_chain(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         orbit = build_orbit(cyl.alpha, 0.625)
         assert np.allclose(orbit.points, [0.125, 0.375, 0.625, 0.875])
         assert orbit.n_minus == -2 and orbit.n_plus == 1
 
     def test_outside_carrier_rejected(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         with pytest.raises(ValueError):
             build_orbit(cyl.alpha, 1.5)
 
     def test_truncated_window_centers_on_base(self):
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.25)
+        cyl = Cylinder("infinite", Interval.real_line(), 0.25)
         orbit = build_orbit(cyl.alpha, 0.0, truncation=9)
         assert orbit.dim == 9
         assert orbit.truncated
@@ -48,19 +48,19 @@ class TestOrbits:
         assert orbit.points[-1] == pytest.approx(1.25) or orbit.points[-1] == pytest.approx(1.0)
 
     def test_half_line_truncation_flags(self):
-        cyl = make_cylinder("half_finite", Interval.at_least(0.0), 0.25)
+        cyl = Cylinder("half_finite", Interval.at_least(0.0), 0.25)
         orbit = build_orbit(cyl.alpha, 0.1, truncation=6)
         chain = orbit.chains[0]
         assert not chain.minus_truncated  # walked off the closed end
         assert chain.plus_truncated
 
     def test_merged_bases_same_orbit_dedup(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         orbit = build_orbit(cyl.alpha, [0.125, 0.375])
         assert orbit.dim == 4
 
     def test_merged_bases_disjoint_orbits(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         orbit = build_orbit(cyl.alpha, [0.125, 0.0625])
         assert orbit.dim == 8
         assert len(orbit.chains) == 2
@@ -68,7 +68,7 @@ class TestOrbits:
 
 class TestMatrices:
     def test_generator_is_chain_matrix(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         V = represent(cyl.generator_u(), rep)
         assert np.array_equal(V, rep.V)
@@ -77,21 +77,21 @@ class TestMatrices:
         assert np.array_equal(rep.V.real, want)
 
     def test_partial_isometry_and_projections(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         V = rep.V
         assert np.array_equal(V @ rep.Vstar @ V, V)
         assert np.array_equal(rep.Vstar @ V, np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
 
     def test_matrix_nilpotency_index_is_orbit_length(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         assert np.any(np.linalg.matrix_power(rep.V, 3) != 0)
         assert np.all(np.linalg.matrix_power(rep.V, 4) == 0)
 
     def test_homomorphism_on_full_orbit(self):
         rng = np.random.default_rng(211)
-        cyl = make_cylinder("finite", UNIT, 0.125)
+        cyl = Cylinder("finite", UNIT, 0.125)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.0625))
         assert rep.dim == 8
         for _ in range(20):
@@ -102,7 +102,7 @@ class TestMatrices:
             assert np.max(np.abs(represent(x.adjoint(), rep) - represent(x, rep).T.conj())) <= 1e-9
 
     def test_block_structure_for_disjoint_bases(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, [0.125, 0.0625]))
         # no edges between the two chains
         for chain in rep.orbit.chains:
@@ -112,7 +112,7 @@ class TestMatrices:
 
 class TestCovariance:
     def test_full_finite_orbit_passes_exactly(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         report = covariance_check(cyl, rep)
         assert report["pass"], report
@@ -120,7 +120,7 @@ class TestCovariance:
             assert row["excluded_indices"] == []
 
     def test_domain_projection_example(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         QV = rep.Vstar @ rep.V
         inside = cyl.interval_n(-1).contains(rep.orbit.points)
@@ -128,7 +128,7 @@ class TestCovariance:
         assert np.array_equal(QV, np.diag(inside.astype(complex)))
 
     def test_truncated_window_needs_exclusion(self):
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.25)
+        cyl = Cylinder("infinite", Interval.real_line(), 0.25)
         orbit = build_orbit(cyl.alpha, 0.0, truncation=12)
         rep = matrix_rep(orbit)
         # the corner entry really is polluted: the window edge fakes a chain start
@@ -141,13 +141,13 @@ class TestCovariance:
         assert excluded_indices(orbit, 2) >= excluded_indices(orbit, 1) != set()
 
     def test_truncated_half_line_passes_with_exclusion(self):
-        cyl = make_cylinder("half_finite", Interval.at_least(0.0), 0.25)
+        cyl = Cylinder("half_finite", Interval.at_least(0.0), 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.1, truncation=8))
         report = covariance_check(cyl, rep)
         assert report["pass"], report
 
     def test_custom_samples_and_steps(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         rep = matrix_rep(build_orbit(cyl.alpha, 0.125))
         fs = [polynomial([0.0, 1.0], UNIT), polynomial([1.0, 0.0, 1.0j], UNIT)]
         report = covariance_check(cyl, rep, sample_functions=fs, ns=(-3, 3))

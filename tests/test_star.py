@@ -6,7 +6,7 @@ import pytest
 from conftest import random_cp_element
 from fuzzcyl.interval import Interval
 from fuzzcyl.bijection import make_family
-from fuzzcyl.crossed import make_cylinder
+from fuzzcyl.crossed import Cylinder
 from fuzzcyl.functions import constant, polynomial
 from fuzzcyl.star import (
     AliasingError,
@@ -25,21 +25,21 @@ UNIT = Interval.closed(0.0, 1.0)
 class TestModeCorrespondence:
     def test_roundtrip_element(self):
         rng = np.random.default_rng(301)
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         for _ in range(8):
             x = random_cp_element(cyl, rng)
             back = psi_inv(psi(x))
             assert x.distance(back) <= 1e-12
 
     def test_eval_sums_modes(self):
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         f = CylinderFunction(UNIT, {0: constant(2.0, UNIT), 1: constant(1.0, UNIT)}, cyl)
         val = f.eval([0.5], [0.0, math.pi / 2])
         assert val[0, 0] == pytest.approx(3.0)
         assert val[0, 1] == pytest.approx(2.0 + 1j)
 
     def test_quadrature_recovers_callable(self):
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.5)
+        cyl = Cylinder("infinite", Interval.real_line(), 0.5)
 
         def fn(xs, phi):
             return xs**2 * np.exp(1j * phi) + 1.0
@@ -51,7 +51,7 @@ class TestModeCorrespondence:
         assert np.max(np.abs(x.terms[0](xs) - 1.0)) <= 1e-12
 
     def test_aliasing_detected(self):
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.5)
+        cyl = Cylinder("infinite", Interval.real_line(), 0.5)
 
         def fn(xs, phi):
             return np.exp(2j * phi) * np.ones_like(xs)
@@ -70,10 +70,54 @@ class TestModeCorrespondence:
         assert d.coefficients[2](0.5) == pytest.approx(2j)
 
 
+class TestFftModes:
+    @staticmethod
+    def quadrature(sample, xs, max_n, n):
+        """Mode n by the explicit trapezoid sum over the K = 4*max_n + 1 nodes."""
+        K = 4 * max_n + 1
+        nodes = -math.pi + 2.0 * math.pi * np.arange(K) / K
+        return sum(sample(xs, phi) * np.exp(-1j * n * phi) for phi in nodes) / K
+
+    @pytest.mark.parametrize("max_n", [1, 2, 5, 8])
+    def test_modes_match_the_trapezoid_quadrature(self, max_n):
+        cyl = Cylinder("infinite", Interval.real_line(), 0.5)
+        rng = np.random.default_rng(311 + max_n)
+        cs = {n: rng.normal(size=3) + 1j * rng.normal(size=3) for n in range(-max_n, max_n + 1)}
+
+        def fn(xs, phi):
+            return sum(np.polynomial.polynomial.polyval(xs, c) * np.exp(1j * n * phi) for n, c in cs.items())
+
+        x = psi_inv(fn, algebra=cyl, max_n=max_n)
+        xs = np.linspace(-2, 2, 17)
+        for n in range(-max_n, max_n + 1):
+            assert np.max(np.abs(x.terms[n](xs) - self.quadrature(fn, xs, max_n, n))) <= 1e-13
+
+    def test_element_modes_match_the_trapezoid_quadrature(self):
+        cyl = Cylinder("finite", UNIT, 0.25)
+        x = random_cp_element(cyl, np.random.default_rng(317))
+        f = psi(x)
+        back = psi_inv(f, max_n=3)
+        xs = UNIT.grid(41)
+        sample = lambda pts, phi: f.eval(pts, [phi])[:, 0]
+        for n, fn in back.terms.items():
+            want = self.quadrature(sample, xs, 3, n) * cyl.interval_n(n).contains(xs)
+            assert np.max(np.abs(fn(xs) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("mode", [4, 5, 6, -4, -5, -6])
+    def test_content_above_the_top_mode_raises(self, mode):
+        cyl = Cylinder("infinite", Interval.real_line(), 0.5)
+
+        def fn(xs, phi):
+            return (1.0 + xs) * (1.0 + np.exp(1j * mode * phi))
+
+        with pytest.raises(AliasingError, match=f"mode {mode} "):
+            psi_inv(fn, algebra=cyl, max_n=3)
+
+
 class TestStarProduct:
     def test_star_matches_crossed_multiply(self):
         rng = np.random.default_rng(307)
-        cyl = make_cylinder("finite", UNIT, 0.25)
+        cyl = Cylinder("finite", UNIT, 0.25)
         for _ in range(5):
             x, y = (random_cp_element(cyl, rng, max_step=1, n_terms=2) for _ in range(2))
             via_star = psi_inv(star(psi(x), psi(y)))
@@ -86,7 +130,7 @@ class TestStarProduct:
             star(f, f)
 
     def test_shift_star_translates_right_factor(self):
-        cyl = make_cylinder("infinite", Interval.real_line(), 0.25)
+        cyl = Cylinder("infinite", Interval.real_line(), 0.25)
         R = Interval.real_line()
         f = CylinderFunction(R, {1: constant(1.0, R)}, cyl)
         g = CylinderFunction(R, {0: polynomial([0.0, 1.0], R)}, cyl)
