@@ -417,14 +417,23 @@ def _csv_table(cfg: RunConfig, payload: dict) -> tuple[list[str], list[list]]:
         return header, rows
     if cfg.command == "orbit":
         return ["index", "point"], [[i, p] for i, p in enumerate(payload["points"])]
-    if cfg.command == "rep":
-        V = np.asarray(payload["V"])
-        cols = V.shape[1]
-        re, im = V.real.ravel().tolist(), V.imag.ravel().tolist()
-        return ["row", "col", "re", "im"], [[k // cols, k % cols, re[k], im[k]] for k in range(V.size)]
     rows: list = []
     _flatten("", _jsonable(payload), rows)
     return ["key", "value"], [[k, v] for k, v in rows]
+
+
+def _csv_text(cfg: RunConfig, payload: dict) -> str:
+    if cfg.command == "rep":
+        # numbers only, so no quoting: the bytes csv.writer gives, one format per entry
+        V = np.asarray(payload["V"])
+        re, im = V.real.tolist(), V.imag.tolist()
+        return "row,col,re,im\n" + "".join(
+            ["%d,%d,%r,%r\n" % (i, j, a, b) for i in range(V.shape[0]) for j, a, b in zip(range(V.shape[1]), re[i], im[i])]
+        )
+    header, rows = _csv_table(cfg, payload)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -433,12 +442,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
         echo["out"] = None  # destination is not part of the run; keeps reports byte-stable
         text = _json_text(dict(payload, config=echo)) + "\n"
     else:
-        header, rows = _csv_table(cfg, payload)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        text = buf.getvalue()
+        text = _csv_text(cfg, payload)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

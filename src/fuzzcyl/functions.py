@@ -83,7 +83,8 @@ class SupportedFunction:
         return self._node("conj", self)
 
     def restrict(self, iv: Interval) -> "SupportedFunction":
-        return SupportedFunction(self.support.intersect(iv), self.raw, self.carrier, self.deriv, self.op, self.args)
+        s = self.support.intersect(iv)
+        return self if s is self.support else SupportedFunction(s, self.raw, self.carrier, self.deriv, self.op, self.args)
 
     def memoized(self) -> "SupportedFunction":
         """This function, evaluated at most once per point within a pass."""
@@ -113,16 +114,20 @@ class SupportedFunction:
 
 
 def _masked(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) -> np.ndarray:
-    """f where need holds and xs lies in f's support, hard zero elsewhere."""
+    """f where need holds and xs lies in f's support, hard zero elsewhere; a mask
+    that holds everywhere hands out f's values as they are (maybe a memo entry)."""
     mask = need & _in_support(f.support, xs, memo)
-    if not np.count_nonzero(mask):
+    count = np.count_nonzero(mask)
+    if not count:
         return np.zeros(xs.shape, dtype=complex)
+    if count == xs.size:
+        return _values(f, xs, mask, memo)
     return np.where(mask, _values(f, xs, mask, memo), 0)
 
 
 def _in_support(support: Interval, xs: np.ndarray, memo: dict) -> np.ndarray:
     """support.contains(xs), once per pass for each support and point array."""
-    key = (support, id(xs))
+    key = (support.lo, support.hi, support.lo_closed, support.hi_closed, support.is_empty, id(xs))
     if key not in memo:
         memo[key] = (xs, support.contains(xs, DEFAULT_TOL))
     return memo[key][1]
@@ -135,12 +140,15 @@ def _values(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) 
     while a sum and a pullback mask their arguments by their supports."""
     op, args = f.op, f.args
     if op == "leaf":
+        if np.count_nonzero(need) == xs.size:
+            vals = np.asarray(f.raw(xs), dtype=complex)
+            return vals if vals.shape == xs.shape else np.full(xs.shape, vals)
         out = np.zeros(xs.shape, dtype=complex)
         out[need] = f.raw(xs[need])
         return out
     if op == "memo":
         g = args[0]
-        return _cached(memo, g, xs, need, f.support, lambda mask: _values(g, xs, mask, memo)[mask])
+        return _cached(memo, g, xs, need, f.support, lambda mask: _values(g, xs, mask, memo))
     if op == "sum":
         return _masked(args[0], xs, need, memo) + _masked(args[1], xs, need, memo)
     if op == "product":
@@ -154,30 +162,44 @@ def _values(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) 
         return (_values(g, xs + step, need, memo) - _values(g, xs - step, need, memo)) / (2.0 * step)
     if op == "pullback":
         g, pb = args
-        zs = _cached(memo, pb, xs, need, pb.range, lambda mask: pb.inverse(xs[mask]))
+        zs = _cached(memo, pb, xs, need, pb.range, lambda mask: _rows(pb.inverse, xs, mask))
         return _masked(g, zs, need, memo)
     if op == "mode":  # column of an angle spectrum, see star.psi_inv
         spectrum, column, factor = args
-        return factor * _cached(memo, spectrum, xs, need, f.carrier, lambda mask: spectrum(xs[mask]))[:, column]
+        rows = _cached(memo, spectrum, xs, need, f.carrier, lambda mask: _rows(spectrum, xs, mask))
+        return factor * rows[:, column]
     raise ValueError(f"unknown coefficient node {op!r}")
 
 
-def _cached(memo: dict, owner, xs: np.ndarray, need: np.ndarray, span: Interval, rows) -> np.ndarray:
-    """Array over xs holding rows(need) where need holds, each point computed once per pass.
+def _rows(fn, xs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """fn's rows at the points of xs where mask holds, NaN elsewhere."""
+    new = fn(xs[mask])
+    out = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype)
+    out[mask] = new
+    return out
 
-    The first request for (owner, xs) also computes the points in span; a later
-    one adds its missing points to a copy, so an array handed out never changes
-    (caches keyed by its id rely on that). Entries never computed are NaN."""
+
+def _cached(memo: dict, owner, xs: np.ndarray, need: np.ndarray, span: Interval, values) -> np.ndarray:
+    """values(mask), an array over xs valid where mask holds, each point computed once per pass.
+
+    The first request for (owner, xs) stores values(need | span) as it is (what
+    lies outside is unspecified); a later one that needs more points fills them
+    into a copy and stores that. An entry is never written once stored, and an
+    array a pass hands out may be an entry, so no caller writes to one either
+    (caches keyed by an array's id rely on that too)."""
     key = (id(owner), id(xs))
     entry = memo.get(key)
-    have = need | _in_support(span, xs, memo) if entry is None else entry[3]
-    extra = have if entry is None else need > have
-    if entry is not None and not np.count_nonzero(extra):
-        return entry[2]
-    new = rows(extra)
-    vals = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype) if entry is None else entry[2].copy()
-    vals[extra] = new
-    memo[key] = (owner, xs, vals, have | extra)  # keeps owner and xs, so their ids stay unique
+    if entry is None:
+        have = need | _in_support(span, xs, memo)
+        vals = values(have)
+    else:
+        have, extra = entry[3], need > entry[3]
+        if not np.count_nonzero(extra):
+            return entry[2]
+        vals = entry[2].copy()
+        vals[extra] = values(extra)[extra]
+        have = have | extra
+    memo[key] = (owner, xs, vals, have)  # keeps owner and xs, so their ids stay unique
     return vals
 
 

@@ -188,8 +188,13 @@ class Interval:
     # -- set algebra --------------------------------------------------
 
     def intersect(self, other: "Interval") -> "Interval":
+        """self ∩ other; an operand that already is the result is returned as is."""
         if self.is_empty or other.is_empty:
             return EMPTY
+        if self.subset_of(other):
+            return self
+        if other.subset_of(self):
+            return other
         if self.lo > other.lo:
             lo, lo_c = self.lo, self.lo_closed
         elif other.lo > self.lo:
@@ -207,10 +212,11 @@ class Interval:
         return Interval(lo, hi, lo_c, hi_c)
 
     def hull(self, other: "Interval") -> "Interval":
-        if self.is_empty:
-            return other
-        if other.is_empty:
+        """Smallest interval holding both; an operand that already is it is returned as is."""
+        if other.subset_of(self):
             return self
+        if self.subset_of(other):
+            return other
         if self.lo < other.lo:
             lo, lo_c = self.lo, self.lo_closed
         elif other.lo < self.lo:

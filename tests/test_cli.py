@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fuzzcyl
-from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _csv_table, _emit, _json_text, main
+from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _csv_text, _emit, _json_text, main
 
 SHIFT4 = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125}
 
@@ -388,9 +388,10 @@ def _rep_rows_reference(V):
     return [[i, j, V[i, j].real, V[i, j].imag] for i in range(V.shape[0]) for j in range(V.shape[1])]
 
 
-def _csv_text(rows):
+def _writer_text(rows):
+    """The rep CSV report as csv.writer writes the reference table under its header."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([["row", "col", "re", "im"]] + rows)
     return buf.getvalue()
 
 
@@ -402,15 +403,12 @@ class TestRepCsv:
         cfg = RunConfig.from_dict(dict(data, command="rep", format="csv"))
         payload, _ = _HANDLERS["rep"](cfg)
         assert payload["V"].shape == (dim, dim)
-        header, rows = _csv_table(cfg, payload)
-        assert header == ["row", "col", "re", "im"]
-        assert _csv_text(rows) == _csv_text(_rep_rows_reference(payload["V"]))
+        assert _csv_text(cfg, payload) == _writer_text(_rep_rows_reference(payload["V"]))
 
     def test_special_values_match_reference(self):
         V = np.array([complex(a, b) for a in SPECIAL for b in SPECIAL[:4]]).reshape(len(SPECIAL), 4)
         cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
-        _, rows = _csv_table(cfg, {"V": V})
-        assert _csv_text(rows) == _csv_text(_rep_rows_reference(V))
+        assert _csv_text(cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
 
 
 def test_parser_is_built_once_and_keeps_no_values(tmp_path):

@@ -257,3 +257,38 @@ def test_each_pass_evaluates_a_coefficient_once_and_keeps_nothing():
     assert len(seen) == 1
     alg.distance(y, x)
     assert len(seen) == 2  # the second pass starts from an empty memo
+
+
+def test_a_later_request_extends_a_memo_entry_without_changing_it():
+    alg = CrossedProductAlgebra(make_family("shift", UNIT, 0.25).generator)
+    seen = []
+
+    def raw(xs):
+        seen.append(xs.size)
+        return np.exp(2j * np.asarray(xs)) + np.asarray(xs) ** 2
+
+    x = alg.element({0: SupportedFunction(UNIT, raw, UNIT)})
+    f = x.terms[0]
+    fr = f.restrict(Interval.closed(0.2, 0.6))  # a restricted copy keeps f's memo owner
+    xr = alg.element({0: fr})
+    assert xr.terms[0] is fr and fr.args[0] is f.args[0]
+    xs = alg.carrier.grid(101)
+    inside = int(np.count_nonzero(fr.support.contains(xs, DEFAULT_TOL)))
+
+    want_r, want = fr(xs), f(xs)  # fresh passes of one call each
+    assert seen == [inside, xs.size]
+    seen.clear()
+    assert alg.distance(xr, x) == float(np.max(np.abs(want_r - want)))
+    assert seen == [inside, xs.size - inside]  # the second coefficient only adds the missing points
+
+    seen.clear()
+    memo = {}
+    got_r = fr(xs, memo)
+    key = (id(f.args[0]), id(xs))
+    first = memo[key][2]
+    kept_r, kept = got_r.copy(), first.copy()
+    got = f(xs, memo)
+    assert seen == [inside, xs.size - inside]
+    assert memo[key][2] is not first
+    assert np.array_equal(got_r, kept_r) and np.array_equal(first, kept, equal_nan=True)
+    assert np.array_equal(got_r, want_r) and np.array_equal(got, want)

@@ -150,3 +150,37 @@ def test_descriptor_constructors():
         from_descriptor({"coeffs": []}, UNIT)
     with pytest.raises(ValueError):
         from_descriptor({"type": "wat"}, UNIT)
+
+
+def test_restrict_keeps_the_node_when_the_support_is_inside():
+    f = polynomial([1.0, 2.0j], UNIT, support=Interval.closed(0.25, 0.5))
+    assert f.restrict(UNIT) is f
+    assert f.restrict(Interval.closed(0.25, 0.5)) is f
+    g = f.restrict(Interval.open(0.25, 1.0))
+    assert g is not f and g.support == Interval(0.25, 0.5, False, True)
+    assert g(0.25) == 0.0 and g(0.5) == f(0.5)
+
+
+OFF_CONTRACT_LEAVES = {
+    "python_float": lambda xs: 2.5,
+    "numpy_scalar": lambda xs: np.float64(-1.25),
+    "complex_0d": lambda xs: np.array(1.0 - 2.0j),
+    "float_array": lambda xs: 3.0 * np.asarray(xs) - 0.5,
+    "int_array": lambda xs: np.arange(np.size(xs)),
+}
+
+
+@pytest.mark.parametrize("name", OFF_CONTRACT_LEAVES)
+def test_off_contract_leaf_on_every_point_matches_a_scatter(name):
+    from fuzzcyl.functions import SupportedFunction
+
+    raw = OFF_CONTRACT_LEAVES[name]
+    xs = np.linspace(0.0, 1.0, 11)
+    need = np.ones(xs.shape, dtype=bool)
+    want = np.zeros(xs.shape, dtype=complex)
+    want[need] = raw(xs[need])  # the scatter a leaf did for every point
+    f = SupportedFunction(UNIT, raw, UNIT)
+    got = f(xs)
+    assert got.dtype == complex and got.shape == xs.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal((f * polynomial([2.0], UNIT))(xs), 2.0 * want)

@@ -186,3 +186,66 @@ def test_shifted_matches_image_monotone(iv, c):
     except ValueError:  # sub-ulp images of a strictly increasing sample grid
         return
     assert iv.shifted(c) == want
+
+
+def test_intersect_and_hull_return_an_operand_that_is_the_result():
+    a, b = Interval.closed(0.0, 1.0), Interval(0.25, 0.5, False, True)
+    assert a.intersect(b) is b and b.intersect(a) is b
+    assert a.hull(b) is a and b.hull(a) is a
+    assert a.intersect(a) is a and a.hull(a) is a
+    assert a.intersect(EMPTY) is EMPTY and a.hull(EMPTY) is a and EMPTY.hull(a) is a
+    half = Interval.at_least(0.5)
+    assert half.intersect(Interval.real_line()) is half
+    # equal endpoints with different flags: the open end wins an intersection, the closed end a hull
+    c = Interval(0.0, 1.0, False, True)
+    assert a.intersect(c) is c and a.hull(c) is a
+    assert Interval(0.0, 1.0, True, False).intersect(c) == Interval.open(0.0, 1.0)
+
+
+def _ref_intersect(a, b):
+    if a.is_empty or b.is_empty:
+        return Interval(0.0, 0.0, False, False, True)
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    lo_c = all(iv.lo_closed for iv in (a, b) if iv.lo == lo)
+    hi_c = all(iv.hi_closed for iv in (a, b) if iv.hi == hi)
+    if lo > hi or (lo == hi and not (lo_c and hi_c)):
+        return Interval(0.0, 0.0, False, False, True)
+    return Interval(lo, hi, lo_c, hi_c)
+
+
+def _ref_hull(a, b):
+    parts = [iv for iv in (a, b) if not iv.is_empty]
+    if not parts:
+        return Interval(0.0, 0.0, False, False, True)
+    lo, hi = min(iv.lo for iv in parts), max(iv.hi for iv in parts)
+    lo_c = any(iv.lo_closed for iv in parts if iv.lo == lo)
+    hi_c = any(iv.hi_closed for iv in parts if iv.hi == hi)
+    return Interval(lo, hi, lo_c, hi_c)
+
+
+def _any_interval(a, b, lc, hc, lo_inf, hi_inf):
+    lo, hi = min(a, b), max(a, b)
+    if lo_inf:
+        lo, lc = -math.inf, False
+    if hi_inf:
+        hi, hc = math.inf, False
+    return Interval.point(lo) if lo == hi else Interval(lo, hi, lc, hc)
+
+
+# shared endpoints are common, so equal and nested operands are too
+_endpoints = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-10, 10, allow_nan=False))
+any_intervals = st.one_of(
+    st.just(EMPTY),
+    st.builds(_any_interval, _endpoints, _endpoints, st.booleans(), st.booleans(),
+              st.sampled_from([False, False, True]), st.sampled_from([False, False, True])),
+)
+
+
+@given(any_intervals, any_intervals)
+def test_intersect_and_hull_match_freshly_built_intervals(a, b):
+    for got, want in ((a.intersect(b), _ref_intersect(a, b)), (a.hull(b), _ref_hull(a, b))):
+        assert got == want and str(got) == str(want)
+        if want == a:
+            assert got is a
+        elif want == b:
+            assert got is b
