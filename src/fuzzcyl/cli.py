@@ -219,10 +219,11 @@ def _cmd_algebra_check(cfg: RunConfig) -> tuple[dict, bool]:
     elems = _config_elements(cfg, alg) + _random_elements(alg, rng, cfg.random_elements)
     pair_rows = []
     if rep is not None:
+        mats = [represent(x, rep) for x in elems]
         for i in range(len(elems)):
             for j in range(len(elems)):
                 lhs = represent(elems[i] * elems[j], rep)
-                rhs = represent(elems[i], rep) @ represent(elems[j], rep)
+                rhs = mats[i] @ mats[j]
                 # rows within reach of a truncated chain end, by the left factor's steps, lose terms
                 excl = excluded_indices(rep.orbit, max((abs(n) for n in elems[i].terms), default=0))
                 keep = [k for k in range(rep.dim) if k not in excl]

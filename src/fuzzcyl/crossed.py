@@ -28,6 +28,8 @@ from .functions import (
     partial_identity,
     polynomial,
     pullback,
+    pullback_support,
+    twisted_sum,
 )
 
 
@@ -110,21 +112,20 @@ class CrossedProductAlgebra:
     def multiply(self, x: "CrossedProductElement", y: "CrossedProductElement", mode: str = "clip") -> "CrossedProductElement":
         self._own(x)
         self._own(y)
-        acc: dict[int, SupportedFunction] = {}
+        # (f_n d_n)(g_m d_m) = f_n (g_m pulled back along alpha^n) d_{n+m}
+        steps: dict[int, list] = {}
         for n, fn in sorted(x.terms.items()):
             pbn = self.power(n)
             for m, gm in sorted(y.terms.items()):
                 if self.interval_n(n + m).is_empty:
                     continue
-                gr = gm.restrict(pbn.domain)
-                if gr.support.is_empty:
+                gs = gm.support.intersect(pbn.domain)
+                if gs.is_empty:
                     continue
-                term = fn * pullback(gr, pbn)
-                if term.support.is_empty:
-                    continue
-                key = n + m
-                acc[key] = acc[key] + term if key in acc else term
-        return self.element(acc, mode=mode)
+                ts = fn.support.intersect(pullback_support(gs, pbn))
+                if not ts.is_empty:
+                    steps.setdefault(n + m, []).append((fn, gm, gs, pbn, ts))
+        return self.element({k: twisted_sum(pairs) for k, pairs in steps.items()}, mode=mode)
 
     def involution(self, x: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)

@@ -8,12 +8,13 @@ pulling back along a partial bijection can never leak values off the allowed
 set. Evaluations sharing a `memo` dict form a pass (a top-level call, or one
 `distance`, `represent`, `CylinderFunction.eval` or `classical_limit_check`)
 that computes each memoized function (the coefficients of crossed-product
-elements) and each power's preimages at most once per point.
+elements) and each power's preimages once per point array. A product's
+output step is one node that sums its term pairs in one loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,27 +32,26 @@ class SupportViolation(ValueError):
     """Raised when a function's support escapes the set an operation requires."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class SupportedFunction:
     """A bounded complex function on `carrier`, zero outside `support`.
 
     A leaf (`op` "leaf") has its formula in `raw`, which must accept numpy
     arrays and be valid at least on the support, and may have its analytic
-    derivative in `deriv`. Any other `op` acts on `args` (see `_values`).
+    derivative in `deriv`. Any other `op` acts on `args` (see `_formula`).
+    Nodes are never changed once built.
     """
 
-    support: Interval
-    raw: RawMap | None
-    carrier: Interval
-    deriv: RawMap | None = None
-    op: str = "leaf"
-    args: tuple = ()
+    __slots__ = ("support", "raw", "carrier", "deriv", "op", "args")
+
+    def __init__(self, support: Interval, raw: RawMap | None, carrier: Interval,
+                 deriv: RawMap | None = None, op: str = "leaf", args: tuple = ()):
+        self.support, self.raw, self.carrier, self.deriv, self.op, self.args = support, raw, carrier, deriv, op, args
 
     def __call__(self, x, memo: dict | None = None):
         """Values at x; evaluations passing one memo share their work."""
         xs = np.asarray(x, dtype=float)
         pts = xs if xs.ndim == 1 else xs.reshape(-1)
-        out = _masked(self, pts, np.ones(pts.shape, dtype=bool), {} if memo is None else memo)
+        out = _dense(self, pts, {} if memo is None else memo)
         return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _node(self, op: str, *args, support: Interval | None = None) -> "SupportedFunction":
@@ -87,7 +87,7 @@ class SupportedFunction:
         return self if s is self.support else SupportedFunction(s, self.raw, self.carrier, self.deriv, self.op, self.args)
 
     def memoized(self) -> "SupportedFunction":
-        """This function, evaluated at most once per point within a pass."""
+        """This function, evaluated once per point array within a pass."""
         return self if self.op == "memo" else self._node("memo", self)
 
     def derivative(self, step: float = 1e-5) -> "SupportedFunction":
@@ -106,100 +106,116 @@ class SupportedFunction:
         return self.support.is_empty
 
     def _check_carrier(self, other: "SupportedFunction") -> None:
-        if self.carrier != other.carrier:
+        if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise ValueError("functions live on different carrier intervals")
 
 
 # -- evaluation --------------------------------------------------------
 
 
-def _masked(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) -> np.ndarray:
-    """f where need holds and xs lies in f's support, hard zero elsewhere; a mask
-    that holds everywhere hands out f's values as they are (maybe a memo entry)."""
-    mask = need & _in_support(f.support, xs, memo)
-    count = np.count_nonzero(mask)
+def _dense(f: SupportedFunction, xs: np.ndarray, memo: dict, support: Interval | None = None) -> np.ndarray:
+    """f over the 1-d array xs: its formula where xs lies in `support` (f's own
+    or one inside it), hard zero elsewhere. It may be a pass entry, which no
+    caller writes to."""
+    support = f.support if support is None else support
+    if f.op == "memo" and support is f.args[0].support:
+        return _entry(f.args[0], xs, memo)
+    _, mask, count = _in_support(support, xs, memo)
     if not count:
         return np.zeros(xs.shape, dtype=complex)
-    if count == xs.size:
-        return _values(f, xs, mask, memo)
-    return np.where(mask, _values(f, xs, mask, memo), 0)
+    vals = _formula(f, xs, mask, memo, True)
+    return vals if count == xs.size or f.op == "leaf" else np.where(mask, vals, 0)
 
 
-def _in_support(support: Interval, xs: np.ndarray, memo: dict) -> np.ndarray:
-    """support.contains(xs), once per pass for each support and point array."""
+def _entry(g: SupportedFunction, xs: np.ndarray, memo: dict) -> np.ndarray:
+    """_dense(g, xs) for a memo node's child g, once per pass and point array."""
+    entry = memo.get((id(g), id(xs)))
+    if entry is None:
+        entry = memo[id(g), id(xs)] = (g, xs, _dense(g, xs, memo))  # keeps g and xs, so their ids stay unique
+    return entry[2]
+
+
+def _in_support(support: Interval, xs: np.ndarray, memo: dict) -> tuple:
+    """(xs, support.contains(xs), its count), once per pass for each support and point array."""
     key = (support.lo, support.hi, support.lo_closed, support.hi_closed, support.is_empty, id(xs))
-    if key not in memo:
-        memo[key] = (xs, support.contains(xs, DEFAULT_TOL))
-    return memo[key][1]
+    entry = memo.get(key)
+    if entry is None:
+        mask = support.contains(xs, DEFAULT_TOL)
+        entry = memo[key] = (xs, mask, np.count_nonzero(mask))
+    return entry
 
 
-def _values(f: SupportedFunction, xs: np.ndarray, need: np.ndarray, memo: dict) -> np.ndarray:
-    """f's formula at the 1-d array xs where need holds (elsewhere unspecified).
-
-    It ignores f's own support: a product multiplies its factors' formulas,
-    while a sum and a pullback mask their arguments by their supports."""
+def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict, inside: bool) -> np.ndarray:
+    """f's formula at the 1-d array xs where mask holds (elsewhere unspecified, zero
+    for a leaf), ignoring f's own support. `inside` says mask lies in f's support,
+    so a memo node reads its child's pass entry; below a derivative it does not,
+    as a central difference reads formulas off the support."""
     op, args = f.op, f.args
     if op == "leaf":
-        if np.count_nonzero(need) == xs.size:
+        if np.count_nonzero(mask) == xs.size:
             vals = np.asarray(f.raw(xs), dtype=complex)
             return vals if vals.shape == xs.shape else np.full(xs.shape, vals)
         out = np.zeros(xs.shape, dtype=complex)
-        out[need] = f.raw(xs[need])
+        out[mask] = f.raw(xs[mask])
         return out
     if op == "memo":
-        g = args[0]
-        return _cached(memo, g, xs, need, f.support, lambda mask: _values(g, xs, mask, memo))
+        return _entry(args[0], xs, memo) if inside else _formula(args[0], xs, mask, memo, False)
+    if op == "step":
+        return _step(f, xs, mask, memo, inside)
     if op == "sum":
-        return _masked(args[0], xs, need, memo) + _masked(args[1], xs, need, memo)
+        return _dense(args[0], xs, memo) + _dense(args[1], xs, memo)
     if op == "product":
-        return _values(args[0], xs, need, memo) * _values(args[1], xs, need, memo)
+        return _formula(args[0], xs, mask, memo, inside) * _formula(args[1], xs, mask, memo, inside)
     if op == "scale":
-        return args[1] * _values(args[0], xs, need, memo)
+        return args[1] * _formula(args[0], xs, mask, memo, inside)
     if op == "conj":
-        return np.conjugate(_values(args[0], xs, need, memo))
+        return np.conjugate(_formula(args[0], xs, mask, memo, inside))
     if op == "derivative":
         g, step = args
-        return (_values(g, xs + step, need, memo) - _values(g, xs - step, need, memo)) / (2.0 * step)
+        return (_formula(g, xs + step, mask, memo, False) - _formula(g, xs - step, mask, memo, False)) / (2.0 * step)
     if op == "pullback":
         g, pb = args
-        zs = _cached(memo, pb, xs, need, pb.range, lambda mask: _rows(pb.inverse, xs, mask))
-        return _masked(g, zs, need, memo)
+        return _dense(g, _rows(pb, pb.inverse, pb.range, xs, mask, memo, inside), memo)
     if op == "mode":  # column of an angle spectrum, see star.psi_inv
         spectrum, column, factor = args
-        rows = _cached(memo, spectrum, xs, need, f.carrier, lambda mask: _rows(spectrum, xs, mask))
-        return factor * rows[:, column]
+        return factor * _rows(spectrum, spectrum, f.carrier, xs, mask, memo, inside)[:, column]
     raise ValueError(f"unknown coefficient node {op!r}")
 
 
-def _rows(fn, xs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """fn's rows at the points of xs where mask holds, NaN elsewhere."""
-    new = fn(xs[mask])
-    out = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype)
-    out[mask] = new
+def _step(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict, inside: bool) -> np.ndarray:
+    """One output step of a crossed product (see `twisted_sum`): each pair adds
+    fn(x) g(pb^-1(x)), g masked to gs, where x lies in the term support ts. A
+    lone pair is a product, not a sum, so below a derivative ts does not mask it."""
+    lone = not inside and len(f.args) == 1
+    out = None
+    for fn, g, gs, pb, ts in f.args:
+        tmask, count = (mask, np.count_nonzero(mask)) if lone else _in_support(ts, xs, memo)[1:]
+        if not count:
+            term = np.zeros(xs.shape, dtype=complex)
+        else:
+            zs = _rows(pb, pb.inverse, pb.range, xs, tmask, memo, not lone)
+            term = _formula(fn, xs, tmask, memo, not lone) * _dense(g, zs, memo, gs)
+            if count < xs.size and not lone:
+                term = np.where(tmask, term, 0)
+        out = term if out is None else out + term
     return out
 
 
-def _cached(memo: dict, owner, xs: np.ndarray, need: np.ndarray, span: Interval, values) -> np.ndarray:
-    """values(mask), an array over xs valid where mask holds, each point computed once per pass.
-
-    The first request for (owner, xs) stores values(need | span) as it is (what
-    lies outside is unspecified); a later one that needs more points fills them
-    into a copy and stores that. An entry is never written once stored, and an
-    array a pass hands out may be an entry, so no caller writes to one either
-    (caches keyed by an array's id rely on that too)."""
-    key = (id(owner), id(xs))
-    entry = memo.get(key)
+def _rows(owner, fn, span: Interval, xs: np.ndarray, mask: np.ndarray, memo: dict, covered: bool) -> np.ndarray:
+    """fn's rows at the points of xs in span, NaN elsewhere, once per pass for each
+    owner and point array; unless mask is `covered` by span, the rest of mask
+    is filled into a copy."""
+    entry = memo.get((id(owner), id(xs)))
     if entry is None:
-        have = need | _in_support(span, xs, memo)
-        vals = values(have)
-    else:
-        have, extra = entry[3], need > entry[3]
-        if not np.count_nonzero(extra):
-            return entry[2]
-        vals = entry[2].copy()
-        vals[extra] = values(extra)[extra]
-        have = have | extra
-    memo[key] = (owner, xs, vals, have)  # keeps owner and xs, so their ids stay unique
+        have = _in_support(span, xs, memo)[1]
+        new = fn(xs[have])
+        vals = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype)
+        vals[have] = new
+        entry = memo[id(owner), id(xs)] = (owner, xs, vals)  # keeps owner and xs, so their ids stay unique
+    if covered or not np.count_nonzero(extra := mask & ~_in_support(span, xs, memo)[1]):
+        return entry[2]
+    vals = entry[2].copy()
+    vals[extra] = fn(xs[extra])
     return vals
 
 
@@ -224,12 +240,7 @@ def constant(value: complex, carrier: Interval, support: Interval | None = None)
 
 def partial_identity(iv: Interval, carrier: Interval) -> SupportedFunction:
     """Indicator of iv: the projection-valued coefficient of the step elements."""
-    return SupportedFunction(
-        support=iv.intersect(carrier),
-        raw=lambda xs: np.ones(np.shape(xs), dtype=complex),
-        carrier=carrier,
-        deriv=lambda xs: np.zeros(np.shape(xs), complex),
-    )
+    return constant(1.0, carrier, iv.intersect(carrier))
 
 
 def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval | None = None) -> SupportedFunction:
@@ -237,15 +248,24 @@ def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval |
     cs = np.asarray(list(coeffs), dtype=complex)
     if cs.size == 0:
         return zero_function(carrier)
-    dcs = cs[1:] * np.arange(1, cs.size)
+    top_down = [complex(c) for c in cs[::-1]]
+    dtop_down = [complex(c) for c in (cs[1:] * np.arange(1, cs.size))[::-1]]
     return SupportedFunction(
         support=carrier if support is None else support,
-        raw=lambda xs: np.polynomial.polynomial.polyval(np.asarray(xs, float), cs),
+        raw=lambda xs: _horner(top_down, xs),
         carrier=carrier,
-        deriv=lambda xs: np.polynomial.polynomial.polyval(np.asarray(xs, float), dcs)
-        if dcs.size
-        else np.zeros(np.shape(xs), complex),
+        deriv=lambda xs: _horner(dtop_down, xs) if dtop_down else np.zeros(np.shape(xs), complex),
     )
+
+
+def _horner(top_down: list[complex], xs) -> np.ndarray:
+    """numpy's polyval(xs, c) for c = top_down reversed, in its own operation
+    order, without its argument handling."""
+    x = np.asarray(xs, dtype=float)
+    c0 = top_down[0] + x * 0
+    for c in top_down[1:]:
+        c0 = c + c0 * x
+    return c0
 
 
 def exp_wave(k: float, carrier: Interval, support: Interval | None = None) -> SupportedFunction:
@@ -332,14 +352,24 @@ def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
     """
     if f.support.is_empty:
         return zero_function(f.carrier)
-    if not f.support.subset_of(pb.domain, SUPPORT_TOL):
-        raise SupportViolation(
-            f"support {f.support} is not inside the bijection domain {pb.domain}"
-        )
-    iv = f.support.intersect(pb.domain)
+    return f._node("pullback", f, pb, support=pullback_support(f.support, pb))
+
+
+def pullback_support(support: Interval, pb: PartialBijection) -> Interval:
+    """The support of a function on `support` pulled back along pb."""
+    if not support.subset_of(pb.domain, SUPPORT_TOL):
+        raise SupportViolation(f"support {support} is not inside the bijection domain {pb.domain}")
+    iv = support.intersect(pb.domain)
     # a translation's image is exact, so it needs no sampled monotonicity check
-    support = image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
-    return f._node("pullback", f, pb, support=support)
+    return image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
+
+
+def twisted_sum(pairs: Sequence[tuple]) -> SupportedFunction:
+    """The sum, in order, of fn * pullback(g restricted to gs, pb) over pairs
+    (fn, g, gs, pb, ts), ts being the term's support: one output step of a
+    crossed product as one node."""
+    return SupportedFunction(reduce(Interval.hull, [p[4] for p in pairs]), None, pairs[0][0].carrier, None, "step",
+                             tuple(pairs))
 
 
 def residual(f: SupportedFunction, g: SupportedFunction, grid_size: int = 101) -> float:

@@ -123,12 +123,13 @@ def ref_involution(alg, x):
     return ref_element(alg, acc)
 
 
-def random_pair(alg, rng, steps, max_degree=2):
-    """The same random element as nodes and as closures."""
+def random_pair(alg, rng, steps, max_degree=2, window=None):
+    """The same random element as nodes and as closures, its supports cut to window if given."""
     terms = {}
     for n in steps:
-        if not alg.interval_n(n).is_empty:
-            terms[n] = random_supported(rng, alg.carrier, support=alg.interval_n(n), max_degree=max_degree)
+        support = alg.interval_n(n) if window is None else alg.interval_n(n).intersect(window)
+        if not support.is_empty:
+            terms[n] = random_supported(rng, alg.carrier, support=support, max_degree=max_degree)
     return alg.element(terms), ref_element(alg, {n: Closure.of(f) for n, f in terms.items()})
 
 
@@ -259,7 +260,7 @@ def test_each_pass_evaluates_a_coefficient_once_and_keeps_nothing():
     assert len(seen) == 2  # the second pass starts from an empty memo
 
 
-def test_a_later_request_extends_a_memo_entry_without_changing_it():
+def test_a_restricted_copy_shares_its_originals_pass_entry():
     alg = CrossedProductAlgebra(make_family("shift", UNIT, 0.25).generator)
     seen = []
 
@@ -267,28 +268,75 @@ def test_a_later_request_extends_a_memo_entry_without_changing_it():
         seen.append(xs.size)
         return np.exp(2j * np.asarray(xs)) + np.asarray(xs) ** 2
 
-    x = alg.element({0: SupportedFunction(UNIT, raw, UNIT)})
+    x = alg.element({0: SupportedFunction(Interval.closed(0.1, 0.9), raw, UNIT)})
     f = x.terms[0]
-    fr = f.restrict(Interval.closed(0.2, 0.6))  # a restricted copy keeps f's memo owner
-    xr = alg.element({0: fr})
-    assert xr.terms[0] is fr and fr.args[0] is f.args[0]
-    xs = alg.carrier.grid(101)
-    inside = int(np.count_nonzero(fr.support.contains(xs, DEFAULT_TOL)))
+    fr = f.restrict(Interval.closed(0.2, 0.6))  # a restricted copy keeps f's memo child
+    assert fr.args[0] is f.args[0]
+    xs, ys = alg.carrier.grid(101), alg.carrier.grid(37)
+    on_child = [int(np.count_nonzero(f.support.contains(a, DEFAULT_TOL))) for a in (xs, ys)]
+    assert on_child[0] < xs.size
 
-    want_r, want = fr(xs), f(xs)  # fresh passes of one call each
-    assert seen == [inside, xs.size]
-    seen.clear()
-    assert alg.distance(xr, x) == float(np.max(np.abs(want_r - want)))
-    assert seen == [inside, xs.size - inside]  # the second coefficient only adds the missing points
-
+    want = [g(a) for a in (xs, ys) for g in (fr, f)]  # fresh passes of one call each
     seen.clear()
     memo = {}
-    got_r = fr(xs, memo)
-    key = (id(f.args[0]), id(xs))
-    first = memo[key][2]
-    kept_r, kept = got_r.copy(), first.copy()
-    got = f(xs, memo)
-    assert seen == [inside, xs.size - inside]
-    assert memo[key][2] is not first
-    assert np.array_equal(got_r, kept_r) and np.array_equal(first, kept, equal_nan=True)
-    assert np.array_equal(got_r, want_r) and np.array_equal(got, want)
+    first = fr(xs, memo)
+    kept = first.copy()
+    got = [first, f(xs, memo), fr(ys, memo), f(ys, memo)]
+    assert seen == on_child  # once per array in the pass, on the child's support points
+    assert sum(1 for entry in memo.values() if entry[0] is f.args[0]) == 2  # one entry per array
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(first.view(np.uint64), kept.view(np.uint64))
+
+    seen.clear()
+    xr = alg.element({0: fr})
+    assert alg.distance(xr, x) == float(np.max(np.abs(want[0] - want[1])))
+    assert seen == [on_child[0]]
+
+
+def _chain_end_points(alg, x):
+    """Both ends of every coefficient support, and 1e-13 either side of them."""
+    ends = [e for f in x.terms.values() for e in (f.support.lo, f.support.hi) if np.isfinite(e)]
+    return np.array(sorted({e + d for e in ends for d in (-1e-13, 0.0, 1e-13)}))
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_derivatives_of_product_and_adjoint_coefficients_match_the_closure_evaluator(name):
+    interval, hbar = CARRIERS[name]
+    alg = CrossedProductAlgebra(make_family("shift", interval, hbar).generator)
+    rng = np.random.default_rng(761)
+    window = Interval.closed(0.3, 0.8)  # supports that end inside their chain intervals
+    for _ in range(4):
+        (x, rx), (y, ry) = (random_pair(alg, rng, rng.choice(5, 3, replace=False) - 2) for _ in range(2))
+        w, rw = random_pair(alg, rng, rng.choice(5, 3, replace=False) - 2, window=window)
+        rxy = ref_multiply(alg, rx, ry)
+        cases = [
+            (x * y, rxy),
+            ((x * y).adjoint(), ref_involution(alg, rxy)),
+            ((x * y) * w, ref_multiply(alg, rxy, rw)),
+            (w * (x * y), ref_multiply(alg, rw, rxy)),
+        ]
+        for got, want in cases:
+            assert sorted(got.terms) == sorted(want)
+            xs = np.concatenate([grid_and_offgrid(alg), _chain_end_points(alg, got)])
+            memo = {}
+            for n, f in got.terms.items():
+                d, rd = f.derivative(), want[n].derivative()
+                assert d.support == rd.support
+                assert np.array_equal(d(xs, memo), rd(xs)), f"step {n}"
+                assert np.array_equal(d(xs), rd(xs)), f"step {n}"
+
+
+def test_derivatives_of_angle_mode_coefficients_match_the_closure_evaluator():
+    from fuzzcyl.star import psi, psi_inv
+
+    alg = CrossedProductAlgebra(make_family("shift", UNIT, 0.125).generator)
+    x, _ = random_pair(alg, np.random.default_rng(767), (-1, 0, 1))
+    back = psi_inv(psi(x * x.adjoint()), alg)
+    xs = np.concatenate([grid_and_offgrid(alg), _chain_end_points(alg, back)])
+    assert back.terms
+    for n, f in back.terms.items():
+        spectrum, column, factor = f.args[0].args  # the mode node below the memo node
+        ref = Closure(f.support, lambda p, s=spectrum, c=column, k=factor: k * s(np.asarray(p, dtype=float))[:, c])
+        assert np.array_equal(f(xs), ref(xs)), f"step {n}"
+        assert np.array_equal(f.derivative()(xs), ref.derivative()(xs)), f"step {n}"

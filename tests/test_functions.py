@@ -184,3 +184,18 @@ def test_off_contract_leaf_on_every_point_matches_a_scatter(name):
     assert got.dtype == complex and got.shape == xs.shape
     assert np.array_equal(got, want)
     assert np.array_equal((f * polynomial([2.0], UNIT))(xs), 2.0 * want)
+
+
+def test_polynomial_leaf_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(17)
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, -1.25, 3.0, 1e300, -7e-310])
+    parts = [0.0, -0.0, 1.0, -2.5, np.inf, np.nan]
+    for degree in range(6):
+        for _ in range(40):
+            cs = [complex(rng.choice(parts) if rng.random() < 0.5 else rng.normal(),
+                          rng.choice(parts) if rng.random() < 0.5 else rng.normal()) for _ in range(degree + 1)]
+            with np.errstate(all="ignore"):
+                got = polynomial(cs, Interval.real_line()).raw(xs)
+                want = np.polynomial.polynomial.polyval(xs, np.asarray(cs))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cs
