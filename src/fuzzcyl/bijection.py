@@ -41,7 +41,6 @@ class PartialBijection:
     range: Interval
     forward: ArrayMap
     inverse: ArrayMap
-    label: str = ""
     offset: float | None = None
 
     @property
@@ -61,7 +60,6 @@ class PartialBijection:
             range=self.domain,
             forward=self.inverse,
             inverse=self.forward,
-            label=f"inv({self.label})" if self.label else "",
             offset=None if self.offset is None else -self.offset,
         )
 
@@ -75,11 +73,11 @@ class PartialBijection:
 
 
 def identity_on(carrier: Interval) -> PartialBijection:
-    return PartialBijection(carrier, carrier, carrier, _identity_map, _identity_map, "id", 0.0)
+    return PartialBijection(carrier, carrier, carrier, _identity_map, _identity_map, 0.0)
 
 
 def empty_bijection(carrier: Interval) -> PartialBijection:
-    return PartialBijection(carrier, EMPTY, EMPTY, _identity_map, _identity_map, "0")
+    return PartialBijection(carrier, EMPTY, EMPTY, _identity_map, _identity_map)
 
 
 def compose(outer: PartialBijection, inner: PartialBijection) -> PartialBijection:
@@ -103,8 +101,7 @@ def compose(outer: PartialBijection, inner: PartialBijection) -> PartialBijectio
     def inv(y):
         return ini(oi(np.asarray(y, dtype=float)))
 
-    label = f"{outer.label}*{inner.label}" if (outer.label and inner.label) else ""
-    return PartialBijection(outer.carrier, dom, rng, fwd, inv, label)
+    return PartialBijection(outer.carrier, dom, rng, fwd, inv)
 
 
 def _iterate(fn: ArrayMap, k: int) -> ArrayMap:
@@ -144,8 +141,7 @@ def next_power(
                 offset = k * step.offset
                 fwd = lambda x: np.asarray(x, dtype=float) + offset
                 inv = lambda y: np.asarray(y, dtype=float) - offset
-            label = f"{step.label}^{k}" if step.label else ""
-            out = replace(out, forward=fwd, inverse=inv, label=label, offset=offset)
+            out = replace(out, forward=fwd, inverse=inv, offset=offset)
     if not out.range.close_to(reach, 1e-9):
         raise RuntimeError(
             f"power self-check failed for k={k}: composed range {out.range}, iterated {reach}"
@@ -181,10 +177,6 @@ class SemigroupElement:
         if self.n_plus < max(0, self.m) or self.n_minus > min(0, self.m):
             raise ValueError(f"triple ({self.n_plus},{self.n_minus},{self.m}) is not normalized")
 
-    @property
-    def is_idempotent(self) -> bool:
-        return self.m == 0
-
     def to_word(self) -> list[int]:
         word = []
         if self.n_plus:
@@ -208,7 +200,7 @@ class SemigroupElement:
             return empty_bijection(alpha.carrier)
         restrict = PartialBijection(
             carrier=alpha.carrier, domain=mask, range=mask,
-            forward=_identity_map, inverse=_identity_map, label="e",
+            forward=_identity_map, inverse=_identity_map,
         )
         return compose(restrict, power(alpha, self.m))
 
@@ -299,7 +291,6 @@ def _build_generator(
     fwd: ArrayMap,
     inv: ArrayMap,
     formula_domain: Interval,
-    label: str,
     offset: float | None = None,
 ) -> PartialBijection:
     """Largest restriction of a monotone map to a partial bijection of carrier."""
@@ -311,7 +302,7 @@ def _build_generator(
     if rng.is_empty:
         return empty_bijection(carrier)
     dom = image_monotone(rng, inv)
-    pb = PartialBijection(carrier, dom, rng, fwd, inv, label, offset)
+    pb = PartialBijection(carrier, dom, rng, fwd, inv, offset)
     rt = pb.roundtrip_residual()
     if not rt <= 1e-10:  # NaN: the inverse is undefined where forward lands
         raise ValueError(f"forward/inverse pair is inconsistent (roundtrip residual {rt:.3g})")
@@ -368,7 +359,6 @@ def make_family(
             lambda x: raw_fwd(hbar, x),
             lambda y: raw_inv(hbar, y),
             formula_domain,
-            f"{kind}[{hbar}]",
             _OFFSET_SIGNS[kind] * hbar if kind in _OFFSET_SIGNS else None,
         )
 

@@ -269,14 +269,13 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
     rows = []
     for name, h in jobs:
         try:
-            rep, profile, action = standard_setup(name, h)
+            setup = standard_setup(name, h, grid_size=cfg.grid_size)
         except (ValueError, RuntimeError) as e:
             # RuntimeError: a self-check of the setup fails at this step, e.g. the
             # disc constants below h ~ 1e-8, where rounding exceeds the h^2 they are checked to
             raise ConfigError("step is outside the profile's valid range",
                               {"profile": name, "hbar": h, "detail": str(e)}) from None
-        rel = two_gen_relations(rep, profile, action, h, grid_size=cfg.grid_size)
-        bnd = boundary_continuity_check(rep, profile, action, h, grid_size=cfg.grid_size)
+        rel, bnd = two_gen_relations(setup), boundary_continuity_check(setup)
         row = {"profile": name, "hbar": h, "relations": rel, "boundary": bnd}
         if name == "poincare":
             row["constants"] = dataclasses.asdict(poincare_constants(h))

@@ -203,9 +203,6 @@ class CrossedProductElement:
             out = out * self
         return out
 
-    def distance(self, other: "CrossedProductElement", grid_size: int = 101) -> float:
-        return self.algebra.distance(self, other, grid_size)
-
 
 # -- cylinders -------------------------------------------------------
 
@@ -334,7 +331,7 @@ def fixed_point_subalgebra_check(
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             prod = elems[i] * elems[j]
-            r = prod.distance(elems[j] * elems[i], grid_size)
+            r = alg.distance(prod, elems[j] * elems[i], grid_size)
             closed = all(fn.support.subset_of(fixed_set, SUPPORT_TOL) for fn in prod.terms.values())
             worst = max(worst, r)
             rows.append({"pair": [i, j], "commutator_residual": r, "closed": bool(closed)})

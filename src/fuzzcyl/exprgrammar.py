@@ -16,6 +16,10 @@ import numpy as np
 
 _TOKEN_CHARS = set("+-*/^()")
 
+# deepest nesting of signs, parentheses and sqrt, and tallest expression tree,
+# that parsing and evaluation recurse through without nearing Python's limit
+MAX_DEPTH = 100
+
 
 class ExpressionError(ValueError):
     pass
@@ -57,6 +61,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.level = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -96,13 +101,20 @@ class _Parser:
         return node
 
     def unary(self):
+        # every nested parse passes through here
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels: {self.source[:40]!r}...")
         if self.peek() == "-":
             self.take()
-            return ("neg", self.unary())
-        if self.peek() == "+":
+            node = ("neg", self.unary())
+        elif self.peek() == "+":
             self.take()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -166,9 +178,22 @@ def _evaluate(node, x, h):
     raise ExpressionError(f"bad node {op!r}")
 
 
+def _height(node) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
+    return height
+
+
 def compile_expression(text: str) -> Callable[[np.ndarray, float], np.ndarray]:
     """Compile an expression in x (and optionally h) to a vectorized callable."""
     node = _Parser(_tokenize(text), text).parse()
+    if _height(node) > MAX_DEPTH:
+        # a long chain like x+0+0+... nests to the left without nesting the parse
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels: {text[:40]!r}...")
 
     def fn(x, h=0.0):
         # off its domain a map gives NaN or inf, which the family checks report

@@ -243,12 +243,8 @@ def classical_limit_check(
                 key = k + l
                 corr[key] = corr[key] + term if key in corr else term
 
-        keys = set(prod.terms) | set(corr)
-        for k, fk in x.terms.items():
-            for l, gl in y.terms.items():
-                keys.add(k + l)
         worst = 0.0
-        for n in keys:
+        for n in set(prod.terms) | set(corr):
             pv = prod.terms[n](xs, memo) if n in prod.terms else np.zeros(xs.shape, complex)
             pw = np.zeros(xs.shape, complex)
             for k, fk in x.terms.items():

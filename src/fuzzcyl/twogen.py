@@ -24,7 +24,7 @@ import numpy as np
 from .bijection import PartialBijection, identity_on, make_family, poincare_validity_bound
 from .bijection import _poincare_forward, _poincare_inverse
 from .crossed import CrossedProductAlgebra, CrossedProductElement
-from .functions import SupportedFunction
+from .functions import SupportedFunction, zero_function
 from .interval import Interval, image_monotone
 
 PROFILE_KINDS = ("plane_plus", "plane_minus", "poincare")
@@ -170,9 +170,7 @@ def solve_action_from_profile(
             return np.array(flat).reshape(arr.shape)
 
         domain = Interval(u_min, u_max, interval.lo_closed, interval.hi_closed)
-        action = PartialBijection(
-            interval, domain, image_monotone(domain, forward), forward, inverse, f"profile:{profile.label}"
-        )
+        action = PartialBijection(interval, domain, image_monotone(domain, forward), forward, inverse)
 
     residual = defining_equation_residual(action, profile, hbar, grid_size)
     if residual > 1e-10:
@@ -194,18 +192,28 @@ def conjugated_action(chart: PartialBijection, action: PartialBijection) -> Part
     def inv(xs):
         return ci(ai(cf(np.asarray(xs, dtype=float))))
 
-    return PartialBijection(J, dom, rng, fwd, inv, f"{action.label}@chart")
+    return PartialBijection(J, dom, rng, fwd, inv)
 
 
 @dataclass(frozen=True)
 class TwoGenSetup:
+    """The crossed product over J, the generator A = sqrt(weight) U, and the
+    step-0 coefficients of AA*, A*A, [A, A*] and (AA* + A*A)/2, each the zero
+    function where its product has no step-0 term."""
+
     algebra: CrossedProductAlgebra
     generator: CrossedProductElement
     rep: Reparametrization
     profile: CommutatorProfile
+    action: PartialBijection
     hbar: float
+    grid_size: int
     weight_min: float
     weight_argmin: float
+    AAs: SupportedFunction
+    AsA: SupportedFunction
+    commutator: SupportedFunction
+    anticommutator: SupportedFunction
 
     @property
     def valid_generator(self) -> bool:
@@ -221,7 +229,7 @@ def assemble(
     hbar: float,
     grid_size: int = 101,
 ) -> TwoGenSetup:
-    """Build the crossed product over J and the generator sqrt(weight) U."""
+    """Build the crossed product over J, the generator sqrt(weight) U and its relation functions."""
     if not rep.chart.range.close_to(action.carrier):
         raise ValueError("chart range and action carrier disagree")
     alg = CrossedProductAlgebra(conjugated_action(rep.chart, action))
@@ -231,14 +239,18 @@ def assemble(
         return np.sqrt(np.clip(np.real(weight(np.asarray(us, dtype=float))), 0.0, None)).astype(complex)
 
     root = SupportedFunction(support=weight.support, raw=root_raw, carrier=alg.carrier)
-    gen = alg.element({1: root})
+    A = alg.element({1: root})
+    As = A.adjoint()
+    AAs, AsA = A * As, As * A
+    zero = zero_function(alg.carrier)
+    step0 = [e.terms.get(0, zero) for e in (AAs, AsA, AAs - AsA, (AAs + AsA).scale(0.5))]
 
     js = alg.carrier.grid(grid_size)
     wv = np.real(weight(js))
     k = int(np.argmin(wv)) if js.size else 0
     wmin = float(wv[k]) if js.size else 0.0
     wat = float(js[k]) if js.size else math.nan
-    return TwoGenSetup(alg, gen, rep, profile, hbar, wmin, wat)
+    return TwoGenSetup(alg, A, rep, profile, action, hbar, grid_size, wmin, wat, *step0)
 
 
 def _region_pieces(alg: CrossedProductAlgebra):
@@ -262,49 +274,28 @@ def _closed_forms(setup: TwoGenSetup, region: str, us: np.ndarray):
     return -rho + 0.5 * h * c, 0.5 * (rho - 0.5 * h * c)
 
 
-def two_gen_relations(
-    rep: Reparametrization,
-    profile: CommutatorProfile,
-    action: PartialBijection,
-    hbar: float,
-    grid_size: int = 101,
-    region_tol: float = 1e-9,
-    overlap_tol: float = 1e-10,
-) -> dict:
+def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol: float = 1e-10) -> dict:
     """Check the piecewise commutator and anticommutator laws region by region.
 
-    Everything on the computed side comes out of crossed-product arithmetic
-    (multiply and involution); the closed forms are evaluated independently
+    The computed side is the setup's step-0 coefficients, which come out of
+    crossed-product arithmetic; the closed forms are evaluated independently
     through the chart. The report also records which region carries AA* and
     which carries A*A: each product vanishes on the exclusive region that
     lies outside its own support, not on the one inside it.
     """
-    setup = assemble(rep, profile, action, hbar, grid_size)
-    alg, A = setup.algebra, setup.generator
-    AAs = A * A.adjoint()
-    AsA = A.adjoint() * A
-    comm = AAs - AsA
-    anti = (AAs + AsA).scale(0.5)
-    comm_fn = comm.terms.get(0)
-    anti_fn = anti.terms.get(0)
-
-    def ev(fn, us):
-        if fn is None:
-            return np.zeros(us.shape, dtype=complex)
-        return fn(us)
-
+    profile, hbar, grid_size = setup.profile, setup.hbar, setup.grid_size
     regions = []
     worst = 0.0
     overlap_identity = None
     one_sided = {"only_plus": None, "only_minus": None}
     sign_probe = None
-    for name, piece in _region_pieces(alg):
+    for name, piece in _region_pieces(setup.algebra):
         us = piece.interior_grid(grid_size)
         if us.size == 0:
             continue
         comm_exp, anti_exp = _closed_forms(setup, name, us)
-        cv = ev(comm_fn, us)
-        av = ev(anti_fn, us)
+        memo: dict = {}
+        pv, mv, cv, av = (fn(us, memo) for fn in (setup.AAs, setup.AsA, setup.commutator, setup.anticommutator))
         r_comm = float(np.max(np.abs(cv - comm_exp)))
         r_anti = float(np.max(np.abs(av - anti_exp)))
         worst = max(worst, r_comm, r_anti)
@@ -321,9 +312,7 @@ def two_gen_relations(
             target = hbar * np.asarray(profile.C(np.real(av)), dtype=float)
             overlap_identity = float(np.max(np.abs(cv - target)))
         else:
-            pv = float(np.max(np.abs(ev(AAs.terms.get(0), us))))
-            mv = float(np.max(np.abs(ev(AsA.terms.get(0), us))))
-            one_sided[name] = {"max_AA*": pv, "max_A*A": mv}
+            one_sided[name] = {"max_AA*": float(np.max(np.abs(pv))), "max_A*A": float(np.max(np.abs(mv)))}
         if name == "only_minus":
             minus_branch = float(np.max(np.abs(cv - comm_exp)))
             plus_branch = float(np.max(np.abs(cv + comm_exp)))
@@ -344,7 +333,7 @@ def two_gen_relations(
         (on_support, off_support), "neither"
     )
 
-    eq_residual = defining_equation_residual(action, profile, hbar, grid_size)
+    eq_residual = defining_equation_residual(setup.action, profile, hbar, grid_size)
     relations_pass = bool(
         all(r["pass"] for r in regions)
         and (overlap_identity is None or overlap_identity <= overlap_tol)
@@ -376,15 +365,7 @@ def _approach(fn, anchor: float, direction: float, width: float, k_max: int):
     return float(np.real(vals[-1]))
 
 
-def boundary_continuity_check(
-    rep: Reparametrization,
-    profile: CommutatorProfile,
-    action: PartialBijection,
-    hbar: float,
-    grid_size: int = 101,
-    k_max: int = 20,
-    zero_tol: float = ZERO_TOL,
-) -> dict:
+def boundary_continuity_check(setup: TwoGenSetup, k_max: int = 20, zero_tol: float = ZERO_TOL) -> dict:
     """Examine the seam between the exclusive regions and the overlap.
 
     For each nonempty exclusive region the report identifies the interval
@@ -394,26 +375,11 @@ def boundary_continuity_check(
     exactly when they vanish at u0. The weight values at u0 and u1 expose
     the vanishing condition a classical limit would additionally need.
     """
-    setup = assemble(rep, profile, action, hbar, grid_size)
-    alg, A = setup.algebra, setup.generator
-    AAs = A * A.adjoint()
-    AsA = A.adjoint() * A
-    comm = AAs - AsA
-    anti = (AAs + AsA).scale(0.5)
+    alg = setup.algebra
     J = alg.carrier
     step = alg.alpha
-
-    def ev_fn(elem):
-        fn = elem.terms.get(0)
-
-        def f(us):
-            us = np.asarray(us, dtype=float)
-            return np.zeros(us.shape, dtype=complex) if fn is None else fn(us)
-
-        return f
-
-    functions = {"commutator": ev_fn(comm), "anticommutator": ev_fn(anti)}
-    weight = rep.weight
+    functions = {"commutator": setup.commutator, "anticommutator": setup.anticommutator}
+    weight = setup.rep.weight
 
     cases = {"only_plus": {"applies": False}, "only_minus": {"applies": False}}
     for name, piece in _region_pieces(alg):
@@ -481,8 +447,8 @@ def boundary_continuity_check(
         cases[name] = entry
 
     report = {
-        "profile": profile.label,
-        "hbar": hbar,
+        "profile": setup.profile.label,
+        "hbar": setup.hbar,
         "valid_generator": setup.valid_generator,
         "weight_min": setup.weight_min,
         "weight_argmin": setup.weight_argmin,
@@ -531,8 +497,8 @@ def poincare_constants(hbar: float) -> PoincareConstants:
     return PoincareConstants(h, edge, zero_preimage, image_of_zero, edge_preimage)
 
 
-def standard_setup(name: str, hbar: float, a: float | None = None):
-    """Reference configuration: identity chart on the profile's natural interval."""
+def standard_setup(name: str, hbar: float, a: float | None = None, grid_size: int = 101) -> TwoGenSetup:
+    """Reference setup: identity chart on the profile's natural interval."""
     profile = CommutatorProfile.builtin(name)
     if name == "poincare":
         if a is None:
@@ -544,4 +510,4 @@ def standard_setup(name: str, hbar: float, a: float | None = None):
         interval = Interval.at_least(a)
     action = solve_action_from_profile(profile, interval, hbar)
     rep = identity_reparametrization(interval, profile, hbar)
-    return rep, profile, action
+    return assemble(rep, profile, action, hbar, grid_size)

@@ -234,8 +234,7 @@ def test_criterion_07_disc_map_constants():
 
 def test_criterion_08_two_generator_relations():
     for name in ("plane_plus", "plane_minus", "poincare"):
-        rep, profile, action = standard_setup(name, 0.1)
-        rel = two_gen_relations(rep, profile, action, 0.1)
+        rel = two_gen_relations(standard_setup(name, 0.1))
         assert rel["relations_pass"], f"criterion 8 FAIL for {name}: {rel['max_residual']:.3e}"
         assert rel["max_residual"] <= 1e-9
         assert rel["defining_equation_residual"] <= 1e-10
@@ -245,14 +244,12 @@ def test_criterion_08_two_generator_relations():
 def test_criterion_09_boundary_continuity():
     h = 0.1
 
-    rep, profile, action = standard_setup("plane_plus", h)
-    bnd = boundary_continuity_check(rep, profile, action, h)
+    bnd = boundary_continuity_check(standard_setup("plane_plus", h))
     case = bnd["cases"]["only_plus"]
     assert case["applies"] and case["iff_holds"] and case["both_conditions_hold"]
     assert case["root_condition_holds"], "criterion 9 FAIL: tuned chart lost its boundary root"
 
-    rep, profile, action = standard_setup("plane_plus", h, a=0.0)
-    bnd0 = boundary_continuity_check(rep, profile, action, h)
+    bnd0 = boundary_continuity_check(standard_setup("plane_plus", h, a=0.0))
     case0 = bnd0["cases"]["only_plus"]
     fns = [case0["commutator"], case0["anticommutator"]]
     assert not any(f["zero_at_u0"] for f in fns)
@@ -262,11 +259,11 @@ def test_criterion_09_boundary_continuity():
     assert not any(f["continuous_at_u1"] for f in fns)
 
     # the minus-plane weight dips to -h at the border: this failure is the result
-    rep, profile, action = standard_setup("plane_minus", h)
-    bndm = boundary_continuity_check(rep, profile, action, h)
+    setup = standard_setup("plane_minus", h)
+    bndm = boundary_continuity_check(setup)
     assert not bndm["valid_generator"]
     assert bndm["obstruction"] == pytest.approx(-h, rel=1e-6)
-    rel = two_gen_relations(rep, profile, action, h)
+    rel = two_gen_relations(setup)
     assert rel["relations_pass"] and not rel["pass"]
 
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzcyl.exprgrammar import ExpressionError, compile_expression
 from fuzzcyl.interval import EMPTY, Interval
 from fuzzcyl.bijection import (
     SemigroupElement,
@@ -152,6 +153,15 @@ class TestCustomFamily:
             family_from_descriptor({"kind": "shift"})
         with pytest.raises(ValueError):
             family_from_descriptor({"kind": "nope", "interval": "[0,1]", "hbar": 0.1})
+
+    def test_deep_expressions_rejected(self):
+        # a left-nested chain, nested parentheses and stacked signs: each would
+        # exhaust the recursion of parsing or evaluation
+        for text in ("x" + "+0" * 2000 + "+h", "(" * 300 + "x+h" + ")" * 300, "-" * 3000 + "x"):
+            with pytest.raises(ExpressionError):
+                compile_expression(text)
+        for text in ("x" + "+0" * 98 + "+h", "(" * 99 + "x+h" + ")" * 99, "-" * 98 + "x"):
+            assert compile_expression(text)(np.array([0.25]), 0.5).shape == (1,)
 
 
 class TestCanonicalForm:

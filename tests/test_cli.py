@@ -424,7 +424,8 @@ def test_parser_is_built_once_and_keeps_no_values(tmp_path):
 
 
 # sha256 of seeded reports of points and matrices, computed before the row-at-a-time
-# writer; the reports must stay byte-identical
+# writer, and of subalgebra reports, computed while each check still built its own
+# setup; the reports must stay byte-identical
 PIN_ELEMENT = {"terms": {"0": {"type": "poly", "coeffs": [0.5, [0.0, 1.0]]}, "1": {"type": "const", "value": [1.0, -2.0]}}}
 PINNED = {
     "rep:dim4": ("rep", dict(SHIFT4, elements=[PIN_ELEMENT]), {
@@ -440,6 +441,14 @@ PINNED = {
                                    "inverse": "x - h"}, "base_point": 0.3, "truncation": 128}, {
         "json": "92914395d1928b169bffa0d5725a0c3c10c5a442fe70bc71679253d918c57deb",
         "csv": "c10a61aecdc3cd132c1aad4e77343fd5dcce134e6665794729b588038e338446",
+    }),
+    "subalgebra:h0.1": ("subalgebra", {"hbars": [0.1]}, {
+        "json": "ed191b9ee941aff53aabcbc3b4b7581d90908c4440c3f38e582ee30065586557",
+        "csv": "eacd23a3b86fde3c784e84d30af3326c217935e90f127373c6dc4a7c49f7a1ec",
+    }),
+    "subalgebra:h0.01": ("subalgebra", {"hbars": [0.01]}, {
+        "json": "9afad41976c05715dd973bae5c629e529168bcdd8fec276dbc4e1f02ed5c0557",
+        "csv": "c8ba2f9116c018ed40bdb6e5e1a974aa65325928bc5a71d5f705b4ce20dcff5b",
     }),
 }
 

@@ -18,7 +18,8 @@ KINDS = ["shift", "plane_plus", "plane_minus", "poincare", "custom"]
 INTERVALS = ["[0,1]", "(0,1)", "[0,1)", "(0,1]", "[-0.025,1]", "[0,inf)", "(-inf,0]", "(-inf,inf)"]
 BAD_INTERVALS = ["[1,0]", "(0,0)", "[0,1", "interval", "", 5, None]
 EXPRESSIONS = [("x + h", "x - h"), ("x - h", "x + h"), ("2*x + h", "(x - h)/2"), ("x^2", "sqrt(x)")]
-BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"])]
+BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"]),
+                   ("x" + "+0" * 2000 + "+h", "x - h")]
 HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4]
 # zero, negative, tiny, just past the disc map's bound of about 0.828, large, and not a number
 EDGE_HBARS = [0.0, -0.25, 1e-12, 0.83, 0.9, 5.0, None]

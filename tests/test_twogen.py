@@ -71,8 +71,7 @@ class TestSolveAction:
 class TestRelations:
     def test_plane_plus_reference(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_plus", h)
-        report = two_gen_relations(rep, prof, act, h)
+        report = two_gen_relations(standard_setup("plane_plus", h))
         assert report["pass"], report
         assert report["valid_generator"]
         names = {r["region"] for r in report["regions"]}
@@ -84,10 +83,7 @@ class TestRelations:
 
     def test_plane_plus_piecewise_values(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_plus", h)
-        setup = assemble(rep, prof, act, h)
-        A = setup.generator
-        comm = (A * A.adjoint() - A.adjoint() * A).terms[0]
+        comm = standard_setup("plane_plus", h).commutator
         inside = np.array([0.2, 1.0, 3.0])       # overlap: constant h
         sliver = np.array([-0.04, -0.01, 0.04])  # exclusive strip: u + h/2
         assert np.max(np.abs(comm(inside) - h)) <= 1e-12
@@ -95,8 +91,7 @@ class TestRelations:
 
     def test_plane_minus_expected_failure(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_minus", h)
-        report = two_gen_relations(rep, prof, act, h)
+        report = two_gen_relations(standard_setup("plane_minus", h))
         assert report["relations_pass"], report
         assert not report["valid_generator"]
         assert not report["pass"]
@@ -107,8 +102,7 @@ class TestRelations:
 
     def test_disc_reference(self):
         h = 0.1
-        rep, prof, act = standard_setup("poincare", h)
-        report = two_gen_relations(rep, prof, act, h)
+        report = two_gen_relations(standard_setup("poincare", h))
         assert report["pass"], report
         assert report["overlap_identity_residual"] <= 1e-10
         only = {r["region"]: r for r in report["regions"]}
@@ -116,10 +110,7 @@ class TestRelations:
 
     def test_disc_overlap_matches_profile_density(self):
         h = 0.1
-        rep, prof, act = standard_setup("poincare", h)
-        setup = assemble(rep, prof, act, h)
-        A = setup.generator
-        comm = (A * A.adjoint() - A.adjoint() * A).terms[0]
+        comm = standard_setup("poincare", h).commutator
         us = np.linspace(0.3, 0.9, 13)
         assert np.max(np.abs(comm(us) - 0.5 * h * (1 - us) ** 2)) <= 1e-12
 
@@ -135,10 +126,9 @@ class TestRelations:
             Interval.at_least(0.0), J, I,
             lambda u: np.asarray(u, dtype=float) + 1.0,
             lambda x: np.asarray(x, dtype=float) - 1.0,
-            "shift-chart",
         )
         rep = make_reparametrization(chart, prof, h)
-        report = two_gen_relations(rep, prof, act, h)
+        report = two_gen_relations(assemble(rep, prof, act, h))
         assert report["pass"], report
         assert report["valid_generator"]
         names = {r["region"] for r in report["regions"]}
@@ -147,8 +137,7 @@ class TestRelations:
     def test_commutator_with_diagonal_element(self):
         h = 0.1
         rng = np.random.default_rng(41)
-        rep, prof, act = standard_setup("plane_plus", h)
-        setup = assemble(rep, prof, act, h)
+        setup = standard_setup("plane_plus", h)
         alg, A = setup.algebra, setup.generator
         step = alg.alpha
         for _ in range(4):
@@ -158,16 +147,13 @@ class TestRelations:
             lhs = A * G - G * A
             moved = pullback(g.restrict(alg.interval_n(1)), step.inverted())
             rhs = A * (G - alg.element({0: moved}))
-            assert lhs.distance(rhs) <= 1e-9
+            assert alg.distance(lhs, rhs) <= 1e-9
 
     def test_commutator_shrinks_with_step(self):
         grid = np.linspace(0.2, 3.0, 41)
         last = None
         for h in (0.1, 0.01, 0.001):
-            rep, prof, act = standard_setup("plane_plus", h)
-            setup = assemble(rep, prof, act, h)
-            A = setup.generator
-            comm = (A * A.adjoint() - A.adjoint() * A).terms[0]
+            comm = standard_setup("plane_plus", h).commutator
             peak = float(np.max(np.abs(comm(grid))))
             assert peak == pytest.approx(h, abs=1e-9)
             if last is not None:
@@ -177,18 +163,14 @@ class TestRelations:
     def test_disc_commutator_shrinks_with_step(self):
         grid = np.linspace(0.3, 0.9, 25)
         for h in (0.1, 0.05, 0.01):
-            rep, prof, act = standard_setup("poincare", h)
-            setup = assemble(rep, prof, act, h)
-            A = setup.generator
-            comm = (A * A.adjoint() - A.adjoint() * A).terms[0]
+            comm = standard_setup("poincare", h).commutator
             assert float(np.max(np.abs(comm(grid)))) <= 0.5 * h
 
 
 class TestBoundary:
     def test_plane_plus_tuned_offset_passes_iff_pair(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_plus", h)
-        report = boundary_continuity_check(rep, prof, act, h)
+        report = boundary_continuity_check(standard_setup("plane_plus", h))
         assert report["valid_generator"]
         case = report["cases"]["only_plus"]
         assert case["applies"]
@@ -205,8 +187,7 @@ class TestBoundary:
 
     def test_plane_plus_zero_offset_jumps(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_plus", h, a=0.0)
-        report = boundary_continuity_check(rep, prof, act, h)
+        report = boundary_continuity_check(standard_setup("plane_plus", h, a=0.0))
         case = report["cases"]["only_plus"]
         assert case["applies"]
         comm = case["commutator"]
@@ -219,8 +200,7 @@ class TestBoundary:
 
     def test_plane_minus_obstruction(self):
         h = 0.1
-        rep, prof, act = standard_setup("plane_minus", h)
-        report = boundary_continuity_check(rep, prof, act, h)
+        report = boundary_continuity_check(standard_setup("plane_minus", h))
         assert not report["valid_generator"]
         assert report["obstruction"] == pytest.approx(-h, abs=1e-9)
         case = report["cases"]["only_minus"]
@@ -246,10 +226,9 @@ class TestBoundary:
             Interval.at_least(0.0), Interval.at_least(0.0), I,
             lambda u: np.asarray(u, dtype=float) + 1.0,
             lambda x: np.asarray(x, dtype=float) - 1.0,
-            "shift-chart",
         )
         rep = make_reparametrization(chart, prof, h)
-        report = boundary_continuity_check(rep, prof, act, h)
+        report = boundary_continuity_check(assemble(rep, prof, act, h))
         assert report["valid_generator"]
         case = report["cases"]["only_minus"]
         assert case["applies"]
@@ -292,6 +271,6 @@ class TestDiscConstants:
     def test_setup_regions_match_constants(self):
         h = 0.1
         c = poincare_constants(h)
-        rep, prof, act = standard_setup("poincare", h)
+        act = standard_setup("poincare", h).action
         assert act.domain.lo == pytest.approx(c.edge_preimage, abs=1e-9)
         assert act.range.lo == pytest.approx(c.edge, abs=1e-9)
