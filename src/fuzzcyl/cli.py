@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bijection import family_from_descriptor
+from .bijection import BijectionFamily, family_from_descriptor
 from .crossed import CrossedProductAlgebra, u_relations_check
 from .functions import from_descriptor, polynomial
 from .interval import DEFAULT_TOL
@@ -119,34 +119,23 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "family": self.family,
-            "elements": self.elements,
-            "hbars": self.hbars,
-            "profiles": self.profiles,
-            "base_point": self.base_point,
-            "truncation": self.truncation,
-            "grid_size": self.grid_size,
-            "tolerance": self.tolerance,
-            "random_elements": self.random_elements,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
+        return dataclasses.asdict(self)
 
 
 # -- builders ---------------------------------------------------------
 
 
-def _algebra(cfg: RunConfig) -> CrossedProductAlgebra:
+def _family(cfg: RunConfig) -> BijectionFamily:
     if cfg.family is None:
         raise ConfigError("this command needs a 'family' descriptor")
     try:
-        fam = family_from_descriptor(cfg.family)
+        return family_from_descriptor(cfg.family)
     except ValueError as e:
         raise ConfigError("bad family descriptor", {"detail": str(e)}) from None
-    return CrossedProductAlgebra(fam.generator)
+
+
+def _algebra(cfg: RunConfig) -> CrossedProductAlgebra:
+    return CrossedProductAlgebra(_family(cfg).generator)
 
 
 def _coefficients(desc: dict, carrier) -> dict:
@@ -236,12 +225,7 @@ def _cmd_algebra_check(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_poisson_limit(cfg: RunConfig) -> tuple[dict, bool]:
-    if cfg.family is None:
-        raise ConfigError("this command needs a 'family' descriptor")
-    try:
-        fam = family_from_descriptor(cfg.family)
-    except ValueError as e:
-        raise ConfigError("bad family descriptor", {"detail": str(e)}) from None
+    fam = _family(cfg)
     if not cfg.hbars:
         raise ConfigError("this command needs a nonempty 'hbars' sweep")
     if len(cfg.elements) < 2 or len(cfg.elements) % 2:

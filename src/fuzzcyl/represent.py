@@ -1,15 +1,15 @@
 """Finite matrix models on orbit windows of the partial bijection.
 
-The basis is an orbit of one or more base points, walked in both directions
-until the bijection runs out of domain or a truncation budget is spent. The
-step element is kept as an index map: succ[j] is the window index of the
-image of point j under the bijection, or -1. V^n sends basis vector j to the
-index n steps along succ, so an element's matrix scatters each sampled
-coefficient along its step's map, and dense 0/1 matrices of V and its powers
-are built only on request. On full orbits this is an exact *-homomorphism; on
-truncated windows the outermost indices of each cut side see wrong
-projections, so the covariance checks exclude a strip as deep as the step
-being tested.
+The basis is the orbit of one base point, walked in both directions until
+the bijection runs out of domain or a truncation budget is spent; basis
+vector j is the j-th point of that walk. The step element is kept as an
+index map: succ[j] is the window index of the image of point j under the
+bijection, or -1. V^n sends basis vector j to the index n steps along succ,
+so an element's matrix scatters each sampled coefficient along its step's
+map, and dense 0/1 matrices of V and its powers are built only on request.
+On full orbits this is an exact *-homomorphism; on truncated windows the
+outermost indices of each cut side see wrong projections, so the covariance
+checks exclude a strip as deep as the step being tested.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ from .bijection import PartialBijection
 from .crossed import CrossedProductAlgebra, CrossedProductElement
 from .functions import SupportedFunction, polynomial, pullback
 
-MERGE_TOL = 1e-12
-
-
-def _point_key(x: float) -> int:
-    return int(round(x / MERGE_TOL))
-
 
 @dataclass
 class OrbitChain:
@@ -40,15 +34,18 @@ class OrbitChain:
 
 @dataclass
 class OrbitSpec:
-    """A finite window of orbit points, in chain order.
+    """A finite window of one base point's orbit, in walk order.
 
-    succ[j] is the window index of alpha(points[j]), or -1 where that image
-    is undefined or lies outside the window.
+    succ[j] is the window index of alpha(points[j]): j + 1 inside the
+    window, j itself at a last point that alpha fixes, and -1 where the
+    image is undefined or lies outside the window. points[base_index] is
+    the base point.
     """
 
     alpha: PartialBijection
     points: np.ndarray
     base_points: tuple[float, ...]
+    base_index: int
     truncation: int
     succ: np.ndarray
     chains: list[OrbitChain] = field(default_factory=list)
@@ -63,20 +60,12 @@ class OrbitSpec:
 
     @property
     def n_minus(self) -> int:
-        """Steps from the first base point back to its chain start (<= 0)."""
-        return -self._base_offset()[0]
+        """Steps from the base point back to the window start (<= 0)."""
+        return -self.base_index
 
     @property
     def n_plus(self) -> int:
-        return self._base_offset()[1]
-
-    def _base_offset(self) -> tuple[int, int]:
-        base = int(np.flatnonzero(self.points == self.base_points[0])[0])
-        for chain in self.chains:
-            if base in chain.indices:
-                pos = chain.indices.index(base)
-                return pos, len(chain.indices) - 1 - pos
-        return 0, 0
+        return self.dim - 1 - self.base_index
 
 
 def _walk(step, defined, x0: float, budget: int) -> tuple[list[float], bool]:
@@ -95,62 +84,34 @@ def _walk(step, defined, x0: float, budget: int) -> tuple[list[float], bool]:
     return out, False
 
 
-def build_orbit(alpha: PartialBijection, base_point, truncation: int = 64) -> OrbitSpec:
-    """Orbit window through one base point or several (merged, deduplicated).
+def build_orbit(alpha: PartialBijection, base_point: float, truncation: int = 64) -> OrbitSpec:
+    """Orbit window of at most `truncation` points, centred on base_point.
 
-    Links between window points come from positions along each base point's
-    walk. Rounded keys only decide which points of different walks are the
-    same point, including the point one step past either end of a window.
+    Every link comes from position along the walk: each point links to the
+    next, and the last point links to itself only where the forward walk
+    stopped at a point that alpha fixes.
     """
     if truncation < 1:
         raise ValueError("truncation budget must be at least 1")
-    bases = [float(b) for b in (base_point if isinstance(base_point, (list, tuple, np.ndarray)) else [base_point])]
-    if not bases:
-        raise ValueError("need at least one base point")
-    for b in bases:
-        if not alpha.carrier.contains(b, DEFAULT_TOL):
-            raise ValueError(f"base point {b} is outside the carrier {alpha.carrier}")
-
-    index: dict[int, int] = {}
-    ordered: list[float] = []
-
-    def window_index(p: float) -> int:
-        k = _point_key(p)
-        if k not in index:
-            index[k] = len(ordered)
-            ordered.append(p)
-        return index[k]
-
-    walks = []  # window indices of each walk, and the points one step before and after its window
-    for b in bases:
-        fwd, fwd_fixed = _walk(alpha.apply, alpha.domain.contains, b, truncation)
-        back, back_fixed = _walk(alpha.apply_inverse, alpha.range.contains, b, truncation)
-        kb, kf = _centered_window(len(back), len(fwd), truncation)
-        walk = list(reversed(back)) + [b] + fwd
-        lo, hi = len(back) - kb, len(back) + 1 + kf
-        before = walk[lo - 1] if lo > 0 else walk[0] if back_fixed else None
-        after = walk[hi] if hi < len(walk) else walk[-1] if fwd_fixed else None
-        walks.append(([window_index(p) for p in walk[lo:hi]], before, after))
-
-    def found(p: float | None) -> int:
-        return -1 if p is None else index.get(_point_key(p), -1)
-
-    links = [link for ids, _, _ in walks for link in zip(ids[:-1], ids[1:])]
-    links += [(ids[-1], found(after)) for ids, _, after in walks]
-    links += [(found(before), ids[0]) for ids, before, _ in walks]
-    succ = np.full(len(ordered), -1, dtype=int)
-    for src, dst in reversed(links):  # the first link found for a point wins
-        if src >= 0 and dst >= 0:
-            succ[src] = dst
-    points = np.asarray(ordered, dtype=float)
-    return OrbitSpec(
-        alpha=alpha,
-        points=points,
-        base_points=tuple(bases),
-        truncation=truncation,
-        succ=succ,
-        chains=_derive_chains(alpha, points, succ),
-    )
+    b = float(base_point)
+    if not alpha.carrier.contains(b, DEFAULT_TOL):
+        raise ValueError(f"base point {b} is outside the carrier {alpha.carrier}")
+    fwd, fixed = _walk(alpha.apply, alpha.domain.contains, b, truncation)
+    back, _ = _walk(alpha.apply_inverse, alpha.range.contains, b, truncation)
+    kb, kf = _centered_window(len(back), len(fwd), truncation)
+    points = np.asarray(back[:kb][::-1] + [b] + fwd[:kf], dtype=float)
+    dim = len(points)
+    succ = np.arange(1, dim + 1)
+    succ[-1] = dim - 1 if fixed and kf == len(fwd) else -1
+    chains = [OrbitChain([dim - 1], False, False)] if succ[-1] >= 0 else []
+    run = dim - len(chains)  # a fixed last point is a chain of its own
+    if run:
+        chains.append(OrbitChain(
+            list(range(run)),
+            minus_truncated=alpha.range.contains(float(points[0]), DEFAULT_TOL),
+            plus_truncated=alpha.domain.contains(float(points[run - 1]), DEFAULT_TOL),
+        ))
+    return OrbitSpec(alpha, points, (b,), kb, truncation, succ, chains)
 
 
 def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]:
@@ -169,30 +130,6 @@ def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]
         else:
             break
     return kb, kf
-
-
-def _derive_chains(alpha: PartialBijection, points: np.ndarray, succ: np.ndarray) -> list[OrbitChain]:
-    fixed = [j for j in range(len(points)) if succ[j] == j]
-    pred = {int(succ[j]): j for j in range(len(points)) if succ[j] >= 0 and succ[j] != j}
-    chains = [OrbitChain(indices=[j], minus_truncated=False, plus_truncated=False) for j in fixed]
-    visited = set(fixed)
-    for j in range(len(points)):
-        if j in visited or j in pred:
-            continue
-        run = [j]
-        visited.add(j)
-        while succ[run[-1]] >= 0 and succ[run[-1]] not in visited:
-            run.append(int(succ[run[-1]]))
-            visited.add(run[-1])
-        first, last = float(points[run[0]]), float(points[run[-1]])
-        chains.append(
-            OrbitChain(
-                indices=run,
-                minus_truncated=alpha.range.contains(first, DEFAULT_TOL),
-                plus_truncated=alpha.domain.contains(last, DEFAULT_TOL),
-            )
-        )
-    return chains
 
 
 def add_step_term(out: np.ndarray, s: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:

@@ -84,6 +84,10 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) ->
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
+        # a root within tol just past an end, e.g. an end that was itself found by bisection
+        end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
+        if abs(fend) <= tol:
+            return end
         raise ValueError(f"no bracket on [{lo}, {hi}] (f: {flo:.3g} .. {fhi:.3g})")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)

@@ -442,6 +442,16 @@ PINNED = {
         "json": "92914395d1928b169bffa0d5725a0c3c10c5a442fe70bc71679253d918c57deb",
         "csv": "c10a61aecdc3cd132c1aad4e77343fd5dcce134e6665794729b588038e338446",
     }),
+    "orbit:truncated": ("orbit", {"family": {"kind": "shift", "interval": "(-inf, inf)", "hbar": 1 / 16},
+                                  "base_point": 0.01, "truncation": 24}, {
+        "json": "48fcfcf01b7f782c0d1dce41edfc7c2ae0423f0146bd8aff1c7179502853b4ad",
+        "csv": "5ac18278c0ae3c1e9688682cd2a2046d9c577271d54b9aa5c8024290d9549f4a",
+    }),
+    "orbit:disc": ("orbit", {"family": {"kind": "poincare", "interval": "[0, 1]", "hbar": 0.1},
+                             "base_point": 0.5, "truncation": 16}, {
+        "json": "1831e9f43a9fd140521587b4019110d8b6e6bd6fe1f665510aa6e4ab02dd3c5f",
+        "csv": "87040d6b8e9c5583fdc5415423a38da05eba453449881078ddeb3751da340044",
+    }),
     "subalgebra:h0.1": ("subalgebra", {"hbars": [0.1]}, {
         "json": "ed191b9ee941aff53aabcbc3b4b7581d90908c4440c3f38e582ee30065586557",
         "csv": "eacd23a3b86fde3c784e84d30af3326c217935e90f127373c6dc4a7c49f7a1ec",

@@ -54,16 +54,14 @@ class TestOrbits:
         assert not chain.minus_truncated  # walked off the closed end
         assert chain.plus_truncated
 
-    def test_merged_bases_same_orbit_dedup(self):
-        cyl = Cylinder("finite", UNIT, 0.25)
-        orbit = build_orbit(cyl.alpha, [0.125, 0.375])
-        assert orbit.dim == 4
-
-    def test_merged_bases_disjoint_orbits(self):
-        cyl = Cylinder("finite", UNIT, 0.25)
-        orbit = build_orbit(cyl.alpha, [0.125, 0.0625])
-        assert orbit.dim == 8
-        assert len(orbit.chains) == 2
+    def test_steps_below_1e_12_keep_every_point(self):
+        # walk points closer than 1e-12 are distinct basis vectors, linked by position
+        shift = make_family("shift", UNIT, 4e-13).generator
+        orbit = build_orbit(shift, 0.5, truncation=8)
+        assert orbit.dim == 8 and len(orbit.chains) == 1
+        assert not np.any(orbit.succ == np.arange(orbit.dim))
+        disc = make_family("poincare", UNIT, 1e-11).generator
+        assert build_orbit(disc, 0.9, truncation=7).dim == 7
 
 
 class TestMatrices:
@@ -100,14 +98,6 @@ class TestMatrices:
             rhs = represent(x, rep) @ represent(y, rep)
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
             assert np.max(np.abs(represent(x.adjoint(), rep) - represent(x, rep).T.conj())) <= 1e-9
-
-    def test_block_structure_for_disjoint_bases(self):
-        cyl = Cylinder("finite", UNIT, 0.25)
-        rep = matrix_rep(build_orbit(cyl.alpha, [0.125, 0.0625]))
-        # no edges between the two chains
-        for chain in rep.orbit.chains:
-            others = [i for i in range(rep.dim) if i not in chain.indices]
-            assert np.all(rep.V[np.ix_(others, chain.indices)] == 0)
 
 
 class TestCovariance:
@@ -227,7 +217,7 @@ WINDOWS = {
     "shift_line_truncated": ("shift", "(-inf,inf)", 1 / 16, 0.01, 24),
     "disc": ("poincare", "[0,1]", 0.1, 0.5, 16),
     "custom": ("custom", "[0,1]", 0.125, 0.05, 64),
-    "two_bases": ("shift", "[0,1]", 0.25, [0.125, 0.0625], 64),
+    "shift_tiny_step": ("shift", "[0,1]", 4e-13, 0.5, 8),
 }
 
 

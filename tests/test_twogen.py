@@ -12,6 +12,7 @@ from fuzzcyl.twogen import (
     assemble,
     boundary_continuity_check,
     defining_equation_residual,
+    identity_reparametrization,
     make_reparametrization,
     poincare_constants,
     solve_action_from_profile,
@@ -66,6 +67,12 @@ class TestSolveAction:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_action_from_profile(CommutatorProfile.builtin("plane_plus"), Interval.at_least(0.0), 0.0)
+
+
+CUSTOM_PROFILES = {
+    "linear": lambda u: np.asarray(u, dtype=float),
+    "negative": lambda u: -np.ones_like(np.asarray(u, dtype=float)),
+}
 
 
 class TestRelations:
@@ -133,6 +140,18 @@ class TestRelations:
         assert report["valid_generator"]
         names = {r["region"] for r in report["regions"]}
         assert names == {"only_minus", "overlap"}
+
+    @pytest.mark.parametrize("label,h", [
+        ("linear", 0.1), ("linear", 0.01), ("negative", 0.1), ("negative", 0.05), ("negative", 0.01),
+    ])
+    def test_custom_profiles_assemble(self, label, h):
+        # the solved inverse is evaluated at a range end that bisection found only to
+        # its tolerance, so the root there lies just past the bracket
+        prof, I = CommutatorProfile(CUSTOM_PROFILES[label], label), Interval.closed(0.0, 1.0)
+        act = solve_action_from_profile(prof, I, h)
+        report = two_gen_relations(assemble(identity_reparametrization(I, prof, h), prof, act, h))
+        assert report["relations_pass"], report
+        assert report["max_residual"] <= 1e-11
 
     def test_commutator_with_diagonal_element(self):
         h = 0.1
