@@ -347,27 +347,36 @@ def _enclose(parts: list[str], level: int, brackets: str = "[]") -> str:
 
 
 def _array_text(a: np.ndarray, level: int) -> str:
-    """A numeric array as json's nested lists, from one text template.
+    """A numeric array as json's nested lists, written one axis at a time.
 
-    The template is the array's nesting with "%s" for every entry, built a
-    row at a time; the entries come from one tolist(). Complex entries are
-    [re, im] pairs. Finite floats take float.__repr__ as json does; other
-    entries (ints, bools, json's NaN/Infinity) take json.dumps.
+    Complex entries are [re, im] pairs. The innermost axis gives the units: a
+    complex array's pairs, a real array's rows. Units whose entries are all +0
+    share one text; the others are written entry by entry, finite floats by
+    float.__repr__ as json does, other entries (ints, bools, json's
+    NaN/Infinity) by json.dumps. The units are then joined up axis by axis.
     """
     if a.dtype.kind == "c":
         a = np.stack([a.real, a.imag], axis=-1)
     text = float.__repr__ if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
-    template = "%s"
-    for axis in range(a.ndim - 1, -1, -1):
-        template = _enclose([template] * a.shape[axis], level + axis)
-    return template % tuple(map(text, a.ravel().tolist()))
+    *outer, n = a.shape
+    units = a.reshape(math.prod(outer), n)
+    zero = ((units == 0) & ~np.signbit(units)).all(axis=1)
+    depth = level + len(outer)
+    zero_text = _enclose([text(a.dtype.type(0).item())] * n, depth)
+    rows = iter(units[~zero].tolist())
+    parts = [zero_text if z else _enclose(list(map(text, next(rows))), depth) for z in zero.tolist()]
+    for axis in range(len(outer) - 1, -1, -1):
+        k = outer[axis]
+        parts = [_enclose(parts[i * k:(i + 1) * k], level + axis) for i in range(math.prod(outer[:axis]))]
+    return parts[0]
 
 
 def _json_text(v, level: int = 0) -> str:
     """The text of json.dumps(_jsonable(v), sort_keys=True, indent=2).
 
     json's C encoder does not indent, and its pure-Python one costs a call
-    per float; numeric arrays here are written by _array_text instead.
+    per float; numeric arrays here are written by _array_text instead, at a
+    cost that follows their entries other than +0.
     """
     if isinstance(v, np.ndarray) and v.ndim and v.dtype.kind in "biufc":
         return _array_text(v, level)
@@ -407,13 +416,23 @@ def _csv_table(cfg: RunConfig, payload: dict) -> tuple[list[str], list[list]]:
 
 
 def _csv_text(cfg: RunConfig, payload: dict) -> str:
+    """The CSV report, with the bytes csv.writer gives.
+
+    The rep table is numbers only, so it needs no quoting and is written
+    directly: one join per matrix row over its column texts "j,re,im", with
+    separator "\\n<row>,". Rows share the texts of +0 entries; a row with
+    other entries patches a copy, formatting those by %r.
+    """
     if cfg.command == "rep":
-        # numbers only, so no quoting: the bytes csv.writer gives, one format per entry
         V = np.asarray(payload["V"])
-        re, im = V.real.tolist(), V.imag.tolist()
-        return "row,col,re,im\n" + "".join(
-            ["%d,%d,%r,%r\n" % (i, j, a, b) for i in range(V.shape[0]) for j, a, b in zip(range(V.shape[1]), re[i], im[i])]
-        )
+        cols = [""] + ["%d,0.0,0.0" % j for j in range(V.shape[1])]
+        lines = [cols] * V.shape[0]
+        other = (V != 0) | np.signbit(V.real) | np.signbit(V.imag)
+        for i, j, a, b in zip(*np.nonzero(other), V.real[other].tolist(), V.imag[other].tolist()):
+            if lines[i] is cols:
+                lines[i] = cols.copy()
+            lines[i][j + 1] = "%d,%r,%r" % (j, a, b)
+        return "row,col,re,im" + "".join([("\n%d," % i).join(line) for i, line in enumerate(lines)]) + "\n"
     header, rows = _csv_table(cfg, payload)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])

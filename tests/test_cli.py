@@ -326,6 +326,22 @@ def reference_text(v):
 SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e16, 1e-5, 0.1, np.nan, np.inf, -np.inf]
 
 
+def _scattered_specials():
+    """A 64x64 complex array of +0 with a few lone entries that are not +0, in either part."""
+    a = np.zeros((64, 64), complex)
+    a.real[3, 5], a.imag[3, 6], a.imag[10, 0], a.real[20, 63] = -0.0, -0.0, np.nan, np.inf
+    a.imag[40, 40], a.real[63, 0], a.imag[63, 1], a.real[7, 7] = -np.inf, 5e-324, 5e-324, np.nan
+    return a
+
+
+def _stable_id(v):
+    """repr, with set members sorted so that the name does not follow PYTHONHASHSEED."""
+    if isinstance(v, (set, frozenset)):
+        members = "{" + ", ".join(map(repr, sorted(v))) + "}"
+        return members if type(v) is set else f"frozenset({members})"
+    return repr(v)
+
+
 class TestReportWriter:
     @pytest.mark.parametrize(
         "value",
@@ -342,6 +358,19 @@ class TestReportWriter:
             np.zeros((3, 0), complex),
             np.zeros((0, 3)),
             np.zeros((2, 0, 3)),
+            np.zeros(0, complex),
+            np.zeros((3, 0)),
+            np.zeros((0, 3), complex),
+            np.zeros((2, 0, 3), complex),
+            np.zeros((2, 3, 0)),
+            np.zeros((2, 3, 0), complex),
+            _scattered_specials(),
+            np.zeros((3, 3), complex),
+            np.full((2, 5), -0.0),
+            np.array([[0.0, 0.5, 0.0, 0.0], [0.0] * 4, [-0.0, 0.0, 0.0, 0.0]], dtype=np.float32),
+            np.array([[0, 0, 0], [0, -4, 0]], dtype=np.int64),
+            np.array([[0, 0], [0, 0], [9, 0]], dtype=np.uint8),
+            np.array([[False, False, False], [False, True, False]]),
             np.array(["a", "ħ"]),
             np.array([{"k": 1}, None], dtype=object),
         ],
@@ -361,7 +390,7 @@ class TestReportWriter:
             "naïve ħ   \U0001f600 \x00 \"quoted\" \\ /",
             {"ключ": "значение", "\U0001f600": [1, 2.5, None]},
         ],
-        ids=repr,
+        ids=_stable_id,
     )
     def test_scalars_and_containers_match_reference(self, value):
         assert _json_text(value) == reference_text(value)
@@ -410,6 +439,14 @@ class TestRepCsv:
         cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
         assert _csv_text(cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
 
+    @pytest.mark.parametrize("V", [
+        np.array([[0, 0, 0], [complex(-0.0, 0), 0, 0], [0, 0, 0], [0, complex(0, np.nan), 0]]),
+        np.zeros((1, 1), complex),
+    ], ids=["sparse", "zero1x1"])
+    def test_sparse_rows_match_reference(self, V):
+        cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
+        assert _csv_text(cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
+
 
 def test_parser_is_built_once_and_keeps_no_values(tmp_path):
     cfg = write_config(tmp_path, SHIFT4)
@@ -424,8 +461,9 @@ def test_parser_is_built_once_and_keeps_no_values(tmp_path):
 
 
 # sha256 of seeded reports of points and matrices, computed before the row-at-a-time
-# writer, and of subalgebra reports, computed while each check still built its own
-# setup; the reports must stay byte-identical
+# writer (dim 256: before the axis-at-a-time writer), and of subalgebra reports,
+# computed while each check still built its own setup; the reports must stay
+# byte-identical
 PIN_ELEMENT = {"terms": {"0": {"type": "poly", "coeffs": [0.5, [0.0, 1.0]]}, "1": {"type": "const", "value": [1.0, -2.0]}}}
 PINNED = {
     "rep:dim4": ("rep", dict(SHIFT4, elements=[PIN_ELEMENT]), {
@@ -436,6 +474,11 @@ PINNED = {
                           "truncation": 128, "elements": [PIN_ELEMENT]}, {
         "json": "6fd3df33892b59764741a7e275c4d3d6ad86051ab4261164c2492e49d63b0712",
         "csv": "e44648d5676416250d1edbf137fbe6277163675878100ccdc632963b30696d97",
+    }),
+    "rep:dim256": ("rep", {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 1 / 256}, "base_point": 1 / 512,
+                           "truncation": 512, "elements": [PIN_ELEMENT]}, {
+        "json": "3ea56becf3fdb70df027f5882a79b459b6e7b7e2515c9fb655a3f08efb4a3d07",
+        "csv": "485cc454935f91ac77caf2cb6b81b8fdc1fe57c80faed8cdeca1a52d51e2a8dd",
     }),
     "orbit": ("orbit", {"family": {"kind": "custom", "interval": "[0, 1]", "hbar": 1 / 64, "forward": "x + h",
                                    "inverse": "x - h"}, "base_point": 0.3, "truncation": 128}, {
