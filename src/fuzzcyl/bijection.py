@@ -22,6 +22,7 @@ from .interval import EMPTY, Interval, image_monotone
 ArrayMap = Callable[[np.ndarray], np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = np.finfo(float).eps
 
 
 def _identity_map(x):
@@ -32,8 +33,8 @@ def _identity_map(x):
 class PartialBijection:
     """Strictly monotone bijection from `domain` onto `range`, both inside `carrier`.
 
-    A translation x -> x + offset records its constant in `offset`, so its
-    powers take the closed form x + n * offset; any other map leaves it None.
+    A translation x -> x + offset records its constant in `offset`, and its
+    powers take the closed form `translation_power`; other maps leave it None.
     """
 
     carrier: Interval
@@ -116,17 +117,40 @@ def _iterate(fn: ArrayMap, k: int) -> ArrayMap:
     return run
 
 
+def translation_power(carrier: Interval, offset: float, k: int) -> PartialBijection:
+    """x -> x + k * offset, k >= 1, from carrier ∩ (carrier - k * offset) onto carrier ∩ (carrier + k * offset).
+
+    Where k * |offset| is within the rounding of k steps of the carrier's
+    width, the carrier's end flags decide alone: the power is the point map
+    between its ends if both are closed, else empty.
+    """
+    d = k * offset
+    lo, hi = carrier.lo, carrier.hi
+    if carrier.is_bounded and abs(abs(d) - carrier.width) <= k * _EPS * (abs(d) + abs(lo) + abs(hi)):
+        d = math.copysign(carrier.width, d)
+        ends = (Interval.point(lo), Interval.point(hi)) if carrier.lo_closed and carrier.hi_closed else (EMPTY, EMPTY)
+        dom, rng = ends if d > 0 else ends[::-1]
+    else:
+        dom, rng = carrier.intersect(carrier.shifted(-d)), carrier.intersect(carrier.shifted(d))
+    return PartialBijection(
+        carrier, dom, rng, lambda x: np.asarray(x, dtype=float) + d, lambda y: np.asarray(y, dtype=float) - d, d
+    )
+
+
 def next_power(
     step: PartialBijection, prev: PartialBijection, reach: Interval, k: int
 ) -> tuple[PartialBijection, Interval]:
     """step^k from prev = step^(k-1), k >= 1; step is the generator or its inverse.
 
-    The domain and range are those of compose(step, prev); the maps apply the
-    step k times in a loop, or add k * offset for a translation. reach is the
-    range of prev found by clipped image iteration from the carrier; one more
-    clipped image gives the iterated range of step^k, which must agree with
+    A translation (a step with an offset) takes `translation_power`. Any other
+    step takes the domain and range of compose(step, prev) and applies itself
+    k times in a loop; reach is the range of prev found by clipped image
+    iteration from the carrier, and one more clipped image must agree with
     the composed range to 1e-9. Returns (step^k, its iterated range).
     """
+    if step.offset is not None:
+        out = step if k == 1 else translation_power(step.carrier, step.offset, k)
+        return out, out.range
     reach = reach.intersect(step.domain)
     if not reach.is_empty:
         reach = image_monotone(reach, step.forward).intersect(step.carrier)
@@ -135,13 +159,7 @@ def next_power(
     else:
         out = compose(step, prev)
         if not out.is_empty:
-            if step.offset is None:
-                offset, fwd, inv = None, _iterate(step.forward, k), _iterate(step.inverse, k)
-            else:
-                offset = k * step.offset
-                fwd = lambda x: np.asarray(x, dtype=float) + offset
-                inv = lambda y: np.asarray(y, dtype=float) - offset
-            out = replace(out, forward=fwd, inverse=inv, offset=offset)
+            out = replace(out, forward=_iterate(step.forward, k), inverse=_iterate(step.inverse, k))
     if not out.range.close_to(reach, 1e-9):
         raise RuntimeError(
             f"power self-check failed for k={k}: composed range {out.range}, iterated {reach}"
@@ -268,12 +286,13 @@ def _poincare_inverse(h: float, x):
     return 1.0 - 2.0 * t * (1.0 - 0.25 * h * t) / (1.0 + np.sqrt(rad))
 
 
+# sign of the constant each translation family adds: the generator's offset is sign * hbar
+_OFFSET_SIGNS = {"shift": 1.0, "plane_plus": -1.0, "plane_minus": 1.0}
+
 _RAW_MAPS: dict[str, tuple] = {
-    "shift": (lambda h, x: np.asarray(x, float) + h, lambda h, x: np.asarray(x, float) - h),
-    "plane_plus": (lambda h, x: np.asarray(x, float) - h, lambda h, x: np.asarray(x, float) + h),
-    "plane_minus": (lambda h, x: np.asarray(x, float) + h, lambda h, x: np.asarray(x, float) - h),
-    "poincare": (_poincare_forward, _poincare_inverse),
-}
+    kind: (lambda h, x, s=s: np.asarray(x, float) + s * h, lambda h, x, s=s: np.asarray(x, float) - s * h)
+    for kind, s in _OFFSET_SIGNS.items()
+} | {"poincare": (_poincare_forward, _poincare_inverse)}
 
 _BETAS: dict[str, Callable] = {
     "shift": lambda u: np.ones_like(np.asarray(u, dtype=float)),
@@ -282,27 +301,14 @@ _BETAS: dict[str, Callable] = {
     "poincare": lambda u: -0.5 * (1.0 - np.asarray(u, dtype=float)) ** 2,
 }
 
-# sign of the constant each translation family adds: the generator's offset is sign * hbar
-_OFFSET_SIGNS = {"shift": 1.0, "plane_plus": -1.0, "plane_minus": 1.0}
 
-
-def _build_generator(
-    carrier: Interval,
-    fwd: ArrayMap,
-    inv: ArrayMap,
-    formula_domain: Interval,
-    offset: float | None = None,
-) -> PartialBijection:
+def _build_generator(carrier: Interval, fwd: ArrayMap, inv: ArrayMap) -> PartialBijection:
     """Largest restriction of a monotone map to a partial bijection of carrier."""
-    g_dom = carrier.intersect(formula_domain)
-    if g_dom.is_empty:
-        return empty_bijection(carrier)
-    img = image_monotone(g_dom, fwd)
-    rng = img.intersect(carrier)
+    rng = image_monotone(carrier, fwd).intersect(carrier)
     if rng.is_empty:
         return empty_bijection(carrier)
     dom = image_monotone(rng, inv)
-    pb = PartialBijection(carrier, dom, rng, fwd, inv, offset)
+    pb = PartialBijection(carrier, dom, rng, fwd, inv)
     rt = pb.roundtrip_residual()
     if not rt <= 1e-10:  # NaN: the inverse is undefined where forward lands
         raise ValueError(f"forward/inverse pair is inconsistent (roundtrip residual {rt:.3g})")
@@ -328,7 +334,7 @@ def make_family(
     if kind == "custom":
         if not forward or not inverse:
             raise ValueError("custom family needs forward and inverse expressions")
-        from .exprgrammar import compile_expression
+        from .exprgrammar import compile_expression, is_translation
 
         fexpr = compile_expression(forward)
         iexpr = compile_expression(inverse)
@@ -336,11 +342,14 @@ def make_family(
         raw_inv = lambda h, x: iexpr(x, h)
         beta = None
         custom_exprs = (forward, inverse)
+        # a pair x + c / x - c: the forward gives c at x = 0, the inverse -c
+        c = float(fexpr(0.0, hbar)) if is_translation(forward) and is_translation(inverse) else math.nan
+        offset = c if math.isfinite(c) and float(iexpr(0.0, hbar)) == -c else None
     else:
         raw_fwd, raw_inv = _RAW_MAPS[kind]
         beta = _BETAS[kind]
+        offset = _OFFSET_SIGNS[kind] * hbar if kind in _OFFSET_SIGNS else None
 
-    formula_domain = Interval.real_line()
     if kind == "poincare":
         if hbar >= poincare_validity_bound():
             raise ValueError(
@@ -353,14 +362,10 @@ def make_family(
 
     if hbar == 0.0:
         gen = identity_on(interval)
+    elif offset is not None:
+        gen = translation_power(interval, offset, 1)
     else:
-        gen = _build_generator(
-            interval,
-            lambda x: raw_fwd(hbar, x),
-            lambda y: raw_inv(hbar, y),
-            formula_domain,
-            _OFFSET_SIGNS[kind] * hbar if kind in _OFFSET_SIGNS else None,
-        )
+        gen = _build_generator(interval, lambda x: raw_fwd(hbar, x), lambda y: raw_inv(hbar, y))
 
     return BijectionFamily(
         kind=kind,

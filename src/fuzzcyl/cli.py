@@ -343,7 +343,7 @@ def _enclose(parts: list[str], level: int, brackets: str = "[]") -> str:
     if not parts:
         return brackets
     inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * level}{brackets[1]}"
 
 
 def _array_text(a: np.ndarray, level: int) -> str:

@@ -188,6 +188,13 @@ def _height(node) -> int:
     return height
 
 
+def is_translation(text: str) -> bool:
+    """Whether an expression parses as x + c or x - c with c free of x."""
+    tokens = _tokenize(text)
+    node = _Parser(tokens, text).parse()
+    return node[0] in ("+", "-") and node[1] == ("x",) and tokens.count("x") == 1
+
+
 def compile_expression(text: str) -> Callable[[np.ndarray, float], np.ndarray]:
     """Compile an expression in x (and optionally h) to a vectorized callable."""
     node = _Parser(_tokenize(text), text).parse()

@@ -314,38 +314,26 @@ def _sampled_diff(x, fx: FiniteAlgebraElement, points: np.ndarray) -> float:
 def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-10, truncation: int = 64):
     """Discretize a cylinder onto an orbit grid and cross-check both arithmetics.
 
-    The grid is the orbit window through base_point. The bijection must map
-    every grid point it is defined at back onto the grid, one to one, and
-    every grid point in its range must have its preimage on the grid; a map
-    whose orbit only terminates by window truncation (half-infinite shifts,
-    the disc map accumulating at its fixed point, a window cut short on
-    either side) or whose steps are below tol fails that closure and raises
-    GridIncompatible. On a closed grid the finite tables are built, chain
+    The grid is the orbit window through base_point, and the finite table is
+    its successor map, read by position along the walk. A window whose
+    spacing is below tol, or whose orbit goes on past either end (half-line
+    shifts, the disc map accumulating at its fixed point, a window cut short
+    by its truncation), raises GridIncompatible. On a closed grid chain
     membership is compared index by index, and every pairwise product and
     adjoint of the supplied elements is computed along both routes.
 
     Returns (finite_algebra, points, report).
     """
-    alpha = algebra.alpha
-    orbit = build_orbit(alpha, base_point, truncation)
-    points = np.asarray(orbit.points, dtype=float)
-    M = len(points)
-
-    mapping: dict[int, int] = {}
-    for i, p in enumerate(points):
-        if not alpha.domain.contains(p, tol):
-            continue
-        q = float(alpha.forward(np.array([p]))[0])
-        hits = np.nonzero(np.abs(points - q) <= tol * (1.0 + abs(q)))[0]
-        if hits.size == 0:
-            raise GridIncompatible(f"image {q:.6g} of grid point {p:.6g} is not on the grid")
-        mapping[i] = int(hits[0])
-    images = set(mapping.values())
-    if len(images) < len(mapping):
-        raise GridIncompatible(f"grid points lie closer together than the matching tolerance {tol:.3g}")
-    for i in np.flatnonzero(alpha.range.contains(points, tol)):
-        if i not in images:
-            raise GridIncompatible(f"preimage of grid point {points[i]:.6g} is not on the grid")
+    orbit = build_orbit(algebra.alpha, base_point, truncation)
+    points, M = orbit.points, orbit.dim
+    if M > 1 and np.min(np.abs(np.diff(points))) < tol:
+        raise GridIncompatible(f"grid points lie closer together than the tolerance {tol:.3g}")
+    for chain in orbit.chains:
+        if chain.minus_truncated:
+            raise GridIncompatible(f"preimage of grid point {points[chain.indices[0]]:.6g} is not on the grid")
+        if chain.plus_truncated:
+            raise GridIncompatible(f"image of grid point {points[chain.indices[-1]]:.6g} is not on the grid")
+    mapping = {j: int(s) for j, s in enumerate(orbit.succ) if s >= 0}
     finite_algebra = FiniteCrossedProduct(FinitePartialBijection(M, mapping))
 
     mismatches = []

@@ -182,6 +182,14 @@ class TestOracle:
         assert code == 1
         assert not d["pass"]
 
+    def test_plane_plus_at_one_nineteenth(self, tmp_path):
+        # 19 steps of 1/19 span [0, 1]: the chain is counted, not rounded
+        cfg = write_config(tmp_path, {"family": {"kind": "plane_plus", "interval": "[0, 1]", "hbar": 1 / 19},
+                                      "base_point": 0.01, "random_elements": 2})
+        code, d = run_json(tmp_path, ["oracle", "--config", cfg])
+        assert code == 0
+        assert d["M"] == 19 and d["membership_pass"] and d["pass"]
+
     def test_incompatible_grid_is_config_error(self, tmp_path, capsys):
         data = {
             "family": {"kind": "poincare", "interval": "[-0.025, 1]", "hbar": 0.1},
@@ -262,7 +270,7 @@ class TestConfigHandling:
          {"family": {"kind": "custom", "interval": "[0,inf)", "hbar": 1.0, "forward": "x - h", "inverse": "sqrt(x)"},
           "base_point": 0.5, "random_elements": 2},
          "inconsistent"),
-        # steps below the matching tolerance: several grid points match one image
+        # steps below the tolerance: the window's spacing is checked before its truncation
         ("oracle", {"family": {"kind": "plane_minus", "interval": "[0,inf)", "hbar": 1e-12}, "base_point": 0.1,
                     "truncation": 32},
          "tolerance"),
@@ -270,6 +278,10 @@ class TestConfigHandling:
         ("oracle", {"family": {"kind": "plane_plus", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.05,
                     "truncation": 2, "random_elements": 2, "seed": 15},
          "preimage"),
+        # the window 0.05, 0.3 is cut at its end: the image 0.55 of 0.3 is in the carrier
+        ("oracle", {"family": {"kind": "shift", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.05,
+                    "truncation": 2},
+         "image of grid point 0.3 is"),
     ],
 )
 def test_escapes_exit_two_with_json_error(tmp_path, capsys, command, data, detail):

@@ -20,7 +20,8 @@ BAD_INTERVALS = ["[1,0]", "(0,0)", "[0,1", "interval", "", 5, None]
 EXPRESSIONS = [("x + h", "x - h"), ("x - h", "x + h"), ("2*x + h", "(x - h)/2"), ("x^2", "sqrt(x)")]
 BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"]),
                    ("x" + "+0" * 2000 + "+h", "x - h")]
-HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4]
+# 1/19, 1/22 and 1/23: steps whose chains once needed exact counting, for every kind
+HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4, 1 / 19, 1 / 22, 1 / 23]
 # zero, negative, tiny, just past the disc map's bound of about 0.828, large, and not a number
 EDGE_HBARS = [0.0, -0.25, 1e-12, 0.83, 0.9, 5.0, None]
 BASE_POINTS = [0.125, 0.05, 0.5, 0.3, 0.0, 1.0]

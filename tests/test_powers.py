@@ -1,12 +1,16 @@
-"""Cached powers of the generator against nested composition.
+"""Cached powers of the generator against exact and nested references.
 
-The reference is the nested-composition power: alpha^n = compose(step,
-alpha^(n-1)) with maps that nest one closure per step. The cache must give
-bit-equal chain ranges for every family, bit-equal domains and maps where the
-step is applied in a loop (disc and custom maps), and for the translation
-families, whose maps take the closed form x + n * offset, domains and maps
-equal up to rounding.
+A translation by c (the built-in translation families, and custom maps
+x + c / x - c) takes the closed form x + n * c. Its domain and range must be
+carrier ∩ (carrier -+ n * c) computed in exact rationals from the intended
+step, and its maps x + n * c up to rounding. Any other map is checked
+against the nested-composition power alpha^n = compose(step, alpha^(n-1)),
+whose maps nest one closure per step: chain ranges, domains and maps must be
+bit-equal.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +39,34 @@ def nested_powers(alpha, depth):
     return out
 
 
+# sign of the constant each translation adds, in units of the step
+SIGNS = {"shift": 1, "plane_plus": -1, "plane_minus": 1, "custom+": 1, "custom-": -1}
+
+
+def exact_chain(carrier, t):
+    """carrier ∩ (carrier + t) for a rational t, its ends computed exactly and rounded once.
+
+    Both operands carry the carrier's end flags, so the intersection does
+    too; where its ends meet, it is a point if both flags are closed and
+    empty otherwise.
+    """
+    lo = Fraction(carrier.lo) + max(t, 0) if math.isfinite(carrier.lo) else carrier.lo
+    hi = Fraction(carrier.hi) + min(t, 0) if math.isfinite(carrier.hi) else carrier.hi
+    if lo > hi or (lo == hi and not (carrier.lo_closed and carrier.hi_closed)):
+        return Interval.empty()
+    return Interval(float(lo), float(hi), carrier.lo_closed, carrier.hi_closed)
+
+
+def exact_step(kind, hbar):
+    """The rational step a translation family is meant to add: 0.05 means 1/20."""
+    return SIGNS[kind] * Fraction(hbar).limit_denominator(1000)
+
+
+def assert_chain(got, want):
+    assert got.is_empty == want.is_empty, (got, want)
+    assert got.close_to(want, 1e-15) and (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed), (got, want)
+
+
 def _family(kind, interval, hbar):
     if kind == "custom+":
         return make_family("custom", interval, hbar, forward="x + h", inverse="x - h")
@@ -54,25 +86,34 @@ CASES = [
 @pytest.mark.parametrize("kind,interval,hbar", CASES, ids=lambda v: str(v))
 def test_cached_powers_match_nested_composition(kind, interval, hbar):
     gen = _family(kind, interval, hbar).generator
-    ref = nested_powers(gen, max(NS))
     alg = CrossedProductAlgebra(gen)
-    translation = kind in TRANSLATIONS
-    for n in NS:
-        got, want = alg.power(n), ref[n]
-        assert got.range == want.range, n
-        if translation:
-            assert got.domain.close_to(want.domain, 1e-14), n
-            assert got.domain.lo_closed == want.domain.lo_closed and got.domain.hi_closed == want.domain.hi_closed
-        else:
-            assert got.domain == want.domain, n
-        xs, ys = want.domain.grid(17), want.range.grid(17)
-        pairs = [(got.forward(xs), want.forward(xs)), (got.inverse(ys), want.inverse(ys))]
-        for a, b in pairs:
-            if translation:
+    if kind in SIGNS:
+        c = exact_step(kind, hbar)
+        for n in NS:
+            got = alg.power(n)
+            assert_chain(got.domain, exact_chain(interval, -n * c))
+            assert_chain(got.range, exact_chain(interval, n * c))
+            xs, ys = got.domain.grid(17), got.range.grid(17)
+            for a, b in ((got.forward(xs), xs + float(n * c)), (got.inverse(ys), ys - float(n * c))):
                 assert np.allclose(a, b, rtol=0, atol=1e-14 * (1 + np.max(np.abs(b), initial=0))), n
-            else:
-                assert np.array_equal(a, b), n
+    else:
+        ref = nested_powers(gen, max(NS))
+        for n in NS:
+            got, want = alg.power(n), ref[n]
+            assert got.range == want.range and got.domain == want.domain, n
+            xs, ys = want.domain.grid(17), want.range.grid(17)
+            assert np.array_equal(got.forward(xs), want.forward(xs)), n
+            assert np.array_equal(got.inverse(ys), want.inverse(ys)), n
     assert alg.power(1) is gen
+
+
+def test_translation_chain_grid():
+    """h = 1/q, q = 2..64: the step element's nilpotency index is q + 1 on [0,1], q on the other unit carriers."""
+    for kind in SIGNS:
+        for carrier in ("[0,1]", "(0,1)", "[0,1)", "(0,1]"):
+            for q in range(2, 65):
+                alg = CrossedProductAlgebra(_family(kind, Interval.parse(carrier), 1 / q).generator)
+                assert alg.nilpotency_degree() == (q + 1 if carrier == "[0,1]" else q), (kind, carrier, q)
 
 
 @pytest.mark.parametrize("kind", [*TRANSLATIONS, "poincare", "custom+"])
@@ -94,7 +135,11 @@ def test_translation_offsets():
         assert power(gen, 3).offset == 3 * sign * 0.125
         assert power(gen, -2).offset == -2 * sign * 0.125
     assert make_family("poincare", UNIT, 0.1).generator.offset is None
-    assert _family("custom+", UNIT, 0.1).generator.offset is None
+    assert _family("custom+", UNIT, 0.1).generator.offset == 0.1
+    assert _family("custom-", UNIT, 0.1).generator.offset == -0.1
+    # not a translation pair: the inverse undoes another constant, so the pair is walked and fails its roundtrip
+    with pytest.raises(ValueError, match="inconsistent"):
+        make_family("custom", UNIT, 0.1, forward="x + h", inverse="x - 2*h")
 
 
 def test_deep_finite_cylinder_order():
@@ -102,9 +147,8 @@ def test_deep_finite_cylinder_order():
 
 
 def test_deep_chain_has_no_recursion_limit():
-    # nested closures hit the interpreter's recursion limit near 1000 steps;
-    # whether 1000 * 0.001 lands on 1 exactly is a matter of rounding
-    assert Cylinder("finite", UNIT, 0.001).order in (1000, 1001)
+    # nested closures hit the interpreter's recursion limit near 1000 steps
+    assert Cylinder("finite", UNIT, 0.001).order == 1001
 
 
 class TestSubUlpChainIntervals:
@@ -155,9 +199,6 @@ class TestOpenCarrierEnds:
     STEPS = (1 / 3, 0.1, 1 / 7, 0.2, 0.25, 0.3)
     # the chain at h = 1/3 on a carrier open at 1: 3 * (1/3) rounds onto the excluded end
     OPEN_TOP = [(kind, iv) for kind in TRANSLATIONS for iv in ("(0,1)", "[0,1)")]
-    # sha256 over interval_n(-40..40) and nilpotency_degree() of the other 66 combinations
-    # of the grid, computed before the fix: they must stay bit-identical
-    REST_DIGEST = "4e32ce814cb938bcfb786853c62fe55be05ab13a4bf58c69db420880fab6b9ea"
 
     @pytest.mark.parametrize("kind,interval", OPEN_TOP)
     def test_composed_and_iterated_ranges_agree(self, kind, interval):
@@ -166,20 +207,21 @@ class TestOpenCarrierEnds:
         # the power that would land on the excluded end is empty
         toward_top = 3 if kind != "plane_plus" else -3
         assert ranges[NS.index(toward_top)].is_empty
-        # plane_plus climbs through its inverse; its third positive power keeps a sub-ulp range at 0
-        assert alg.nilpotency_degree() == (4 if kind == "plane_plus" else 3)
+        # the chain (0,1) ∩ (3h, 1 + 3h) is empty, so no sub-ulp range survives either way
+        assert alg.nilpotency_degree() == 3
 
-    def test_rest_of_grid_unchanged(self):
-        import hashlib
+    def test_rest_of_grid_is_exact(self):
         import itertools
 
-        digest = hashlib.sha256()
         for kind, interval, hbar in itertools.product(TRANSLATIONS, self.CARRIERS, self.STEPS):
             if hbar == 1 / 3 and (kind, interval) in self.OPEN_TOP:
                 continue
-            alg = CrossedProductAlgebra(make_family(kind, Interval.parse(interval), hbar).generator)
-            digest.update(repr(([alg.interval_n(n) for n in NS], alg.nilpotency_degree())).encode())
-        assert digest.hexdigest() == self.REST_DIGEST
+            carrier, c = Interval.parse(interval), exact_step(kind, hbar)
+            alg = CrossedProductAlgebra(make_family(kind, carrier, hbar).generator)
+            for n in NS:
+                assert_chain(alg.interval_n(n), exact_chain(carrier, n * c))
+            order = next(n for n in range(1, 100) if exact_chain(carrier, n * c).is_empty)
+            assert alg.nilpotency_degree() == order, (kind, interval, hbar)
 
     @pytest.mark.parametrize("command", ["algebra-check", "oracle"])
     def test_cli_runs_on_open_carrier(self, tmp_path, command):
