@@ -3,16 +3,17 @@
 A partial bijection is a strictly monotone homeomorphism between two
 subintervals of a fixed carrier interval. Closed-form forward and inverse
 callables are stored side by side; nothing in the library ever inverts a map
-numerically. The powers of a generator, each built from its neighbour toward
-0 by `next_power`, produce the nested interval chain that controls which
-group words survive, and `canonicalize` reduces an arbitrary word in the
-generator to the normal form (idempotent pair, net power).
+numerically. A generator acts partially on its carrier (`PartialAction`):
+its power alpha^n maps the chain interval D_-n onto D_n, and each D_k is one
+image of D_(k-1), so the chain controls which group words survive.
+`canonicalize` reduces an arbitrary word in the generator to the normal form
+(idempotent pair, net power).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,9 +91,6 @@ def compose(outer: PartialBijection, inner: PartialBijection) -> PartialBijectio
         return empty_bijection(outer.carrier)
     dom = image_monotone(mid, inner.inverse)
     rng = image_monotone(mid, outer.forward)
-    if rng.intersect(outer.carrier).is_empty:
-        # a sub-ulp mid whose image rounds onto an excluded end of the carrier
-        return empty_bijection(outer.carrier)
     of, inf_ = outer.forward, inner.forward
     oi, ini = outer.inverse, inner.inverse
 
@@ -137,43 +135,55 @@ def translation_power(carrier: Interval, offset: float, k: int) -> PartialBiject
     )
 
 
-def next_power(
-    step: PartialBijection, prev: PartialBijection, reach: Interval, k: int
-) -> tuple[PartialBijection, Interval]:
-    """step^k from prev = step^(k-1), k >= 1; step is the generator or its inverse.
+class PartialAction:
+    """The partial action of Z that one partial bijection generates.
 
-    A translation (a step with an offset) takes `translation_power`. Any other
-    step takes the domain and range of compose(step, prev) and applies itself
-    k times in a loop; reach is the range of prev found by clipped image
-    iteration from the carrier, and one more clipped image must agree with
-    the composed range to 1e-9. Returns (step^k, its iterated range).
+    alpha^n maps the chain interval D_-n onto D_n. D_1 and D_-1 are the
+    generator's range and domain, and each later D_k is the one-step map's
+    image of D_(k-1) ∩ its domain, inside the carrier. A translation's power
+    is its closed form and D_n is that power's range; any other power applies
+    the step |n| times in a loop. Chain and powers are cached.
     """
-    if step.offset is not None:
-        out = step if k == 1 else translation_power(step.carrier, step.offset, k)
-        return out, out.range
-    reach = reach.intersect(step.domain)
-    if not reach.is_empty:
-        reach = image_monotone(reach, step.forward).intersect(step.carrier)
-    if k == 1:
-        out = step
-    else:
-        out = compose(step, prev)
-        if not out.is_empty:
-            out = replace(out, forward=_iterate(step.forward, k), inverse=_iterate(step.inverse, k))
-    if not out.range.close_to(reach, 1e-9):
-        raise RuntimeError(
-            f"power self-check failed for k={k}: composed range {out.range}, iterated {reach}"
-        )
-    return out, reach
+
+    def __init__(self, generator: PartialBijection):
+        self.alpha = generator
+        self.carrier = generator.carrier
+        # n -> D_n, the range of alpha^n and the domain of alpha^-n
+        self._chain: dict[int, Interval] = {0: self.carrier, 1: generator.range, -1: generator.domain}
+        self._powers = {0: identity_on(self.carrier), 1: generator, -1: generator.inverted()}
+
+    def interval_n(self, n: int) -> Interval:
+        """D_n; a miss fills every member from the nearest cached one toward 0, or reads a translation's power."""
+        if n not in self._chain:
+            sign = 1 if n > 0 else -1
+            step = self._powers[sign]
+            if step.offset is not None:
+                self._chain[n] = self.power(n).range
+            else:
+                for k in range(2 * sign, n + sign, sign):
+                    if k not in self._chain:
+                        mid = self._chain[k - sign].intersect(step.domain)
+                        self._chain[k] = EMPTY if mid.is_empty else image_monotone(mid, step.forward).intersect(self.carrier)
+        return self._chain[n]
+
+    def power(self, n: int) -> PartialBijection:
+        """alpha^n, from D_-n onto D_n."""
+        if n not in self._powers:
+            step, k = self._powers[1 if n > 0 else -1], abs(n)
+            if step.offset is not None:
+                self._powers[n] = translation_power(self.carrier, step.offset, k)
+            else:
+                dom, rng = self.interval_n(-n), self.interval_n(n)
+                self._powers[n] = (
+                    empty_bijection(self.carrier) if dom.is_empty or rng.is_empty
+                    else PartialBijection(self.carrier, dom, rng, _iterate(step.forward, k), _iterate(step.inverse, k))
+                )
+        return self._powers[n]
 
 
 def power(alpha: PartialBijection, n: int) -> PartialBijection:
-    """n-fold composition (negative n uses the inverse), built by next_power."""
-    step = alpha if n > 0 else alpha.inverted()
-    out, reach = identity_on(alpha.carrier), alpha.carrier
-    for k in range(1, abs(n) + 1):
-        out, reach = next_power(step, out, reach, k)
-    return out
+    """alpha^n (negative n uses the inverse), from D_-n onto D_n."""
+    return PartialAction(alpha).power(n)
 
 
 # -- word canonical form ---------------------------------------------

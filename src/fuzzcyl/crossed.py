@@ -6,10 +6,8 @@ twists the right factor through the partial bijection; the involution
 conjugates and transports across. Coefficient supports outside the chain are
 clipped by default; strict mode turns a violation into an error instead.
 
-The algebra caches the powers alpha^n: a missing power is filled from the
-nearest cached one toward 0, one `next_power` step per power, so reaching
-step n costs n steps once per algebra, and the chain interval of step n is
-the range of the cached alpha^n.
+The algebra is the `PartialAction` of its generator: it caches the chain
+D_n, and its power alpha^n is a memoized view on the chain, from D_-n onto D_n.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .interval import Interval
-from .bijection import PartialBijection, identity_on, make_family, next_power
+from .bijection import PartialAction, make_family
 from .functions import (
     SUPPORT_TOL,
     SupportViolation,
@@ -33,29 +31,8 @@ from .functions import (
 )
 
 
-class CrossedProductAlgebra:
-    """Handle owning the generator, its cached powers, and element construction."""
-
-    def __init__(self, generator: PartialBijection):
-        self.alpha = generator
-        self.carrier = generator.carrier
-        self._inverse = generator.inverted()
-        # n -> (alpha^n, its iterated range for the self-check in next_power)
-        self._powers: dict[int, tuple[PartialBijection, Interval]] = {
-            0: (identity_on(self.carrier), self.carrier)
-        }
-
-    def power(self, n: int) -> PartialBijection:
-        """alpha^n; a miss fills every power from the nearest cached one toward 0."""
-        if n not in self._powers:
-            sign, step = (1, self.alpha) if n > 0 else (-1, self._inverse)
-            for k in range(sign, n + sign, sign):
-                if k not in self._powers:
-                    self._powers[k] = next_power(step, *self._powers[k - sign], abs(k))
-        return self._powers[n][0]
-
-    def interval_n(self, n: int) -> Interval:
-        return self.power(n).range
+class CrossedProductAlgebra(PartialAction):
+    """The crossed product by the partial action of one generator: element construction and operations."""
 
     def p(self, n: int) -> SupportedFunction:
         """Indicator coefficient of the n-th chain interval."""

@@ -146,7 +146,9 @@ class _Parser:
         if tok in ("x", "h"):
             return (tok,)
         try:
-            return ("num", float(tok))
+            # a numpy float: under the errstate of `fn` a constant part that divides
+            # by zero gives inf, as a part in x does, where a Python float raises
+            return ("num", np.float64(float(tok)))
         except ValueError:
             raise ExpressionError(f"unknown symbol {tok!r} in {self.source!r}") from None
 
@@ -205,6 +207,6 @@ def compile_expression(text: str) -> Callable[[np.ndarray, float], np.ndarray]:
     def fn(x, h=0.0):
         # off its domain a map gives NaN or inf, which the family checks report
         with np.errstate(all="ignore"):
-            return _evaluate(node, np.asarray(x, dtype=float), h)
+            return _evaluate(node, np.asarray(x, dtype=float), np.float64(h))
 
     return fn

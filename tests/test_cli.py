@@ -282,6 +282,11 @@ class TestConfigHandling:
         ("oracle", {"family": {"kind": "shift", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.05,
                     "truncation": 2},
          "image of grid point 0.3 is"),
+        # a constant part divided by zero: the map sends every point to inf
+        ("algebra-check",
+         {"family": {"kind": "custom", "interval": "[0,1]", "hbar": 0.1, "forward": "x + 1/0", "inverse": "x - 1/0"},
+          "base_point": 0.5, "random_elements": 2},
+         "strictly monotone"),
     ],
 )
 def test_escapes_exit_two_with_json_error(tmp_path, capsys, command, data, detail):

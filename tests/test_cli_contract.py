@@ -19,7 +19,8 @@ INTERVALS = ["[0,1]", "(0,1)", "[0,1)", "(0,1]", "[-0.025,1]", "[0,inf)", "(-inf
 BAD_INTERVALS = ["[1,0]", "(0,0)", "[0,1", "interval", "", 5, None]
 EXPRESSIONS = [("x + h", "x - h"), ("x - h", "x + h"), ("2*x + h", "(x - h)/2"), ("x^2", "sqrt(x)")]
 BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"]),
-                   ("x" + "+0" * 2000 + "+h", "x - h")]
+                   ("x" + "+0" * 2000 + "+h", "x - h"),
+                   ("x + 1/0", "x - 1/0"), ("x + h/0", "x - h/0"), ("x + 0^-1", "x - 0^-1")]
 # 1/19, 1/22 and 1/23: steps whose chains once needed exact counting, for every kind
 HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4, 1 / 19, 1 / 22, 1 / 23]
 # zero, negative, tiny, just past the disc map's bound of about 0.828, large, and not a number

@@ -5,8 +5,9 @@ x + c / x - c) takes the closed form x + n * c. Its domain and range must be
 carrier ∩ (carrier -+ n * c) computed in exact rationals from the intended
 step, and its maps x + n * c up to rounding. Any other map is checked
 against the nested-composition power alpha^n = compose(step, alpha^(n-1)),
-whose maps nest one closure per step: chain ranges, domains and maps must be
-bit-equal.
+whose maps nest one closure per step: chain ranges and maps must be
+bit-equal, and the domain is the chain interval D_-n, within 1e-14 of the
+nested one.
 """
 
 import math
@@ -67,11 +68,16 @@ def assert_chain(got, want):
     assert got.close_to(want, 1e-15) and (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed), (got, want)
 
 
+CUSTOM_MAPS = {
+    "custom+": ("x + h", "x - h"), "custom-": ("x - h", "x + h"),
+    "2x+h": ("2*x + h", "(x - h)/2"), "x+hx": ("x + h*x", "x/(1 + h)"), "x^2": ("x^2", "sqrt(x)"),
+}
+
+
 def _family(kind, interval, hbar):
-    if kind == "custom+":
-        return make_family("custom", interval, hbar, forward="x + h", inverse="x - h")
-    if kind == "custom-":
-        return make_family("custom", interval, hbar, forward="x - h", inverse="x + h")
+    if kind in CUSTOM_MAPS:
+        forward, inverse = CUSTOM_MAPS[kind]
+        return make_family("custom", interval, hbar, forward=forward, inverse=inverse)
     return make_family(kind, interval, hbar)
 
 
@@ -100,11 +106,36 @@ def test_cached_powers_match_nested_composition(kind, interval, hbar):
         ref = nested_powers(gen, max(NS))
         for n in NS:
             got, want = alg.power(n), ref[n]
-            assert got.range == want.range and got.domain == want.domain, n
+            assert got.range == want.range, n
+            # the domain is the chain's D_-n, which the nested inverse reaches only to a few ulps
+            assert got.domain == alg.interval_n(-n), n
+            assert got.domain.close_to(want.domain, 1e-14), n
+            assert (got.domain.lo_closed, got.domain.hi_closed) == (want.domain.lo_closed, want.domain.hi_closed), n
             xs, ys = want.domain.grid(17), want.range.grid(17)
             assert np.array_equal(got.forward(xs), want.forward(xs)), n
             assert np.array_equal(got.inverse(ys), want.inverse(ys)), n
     assert alg.power(1) is gen
+
+
+@pytest.mark.parametrize("kind,interval,hbar", [
+    ("poincare", UNIT, 0.05), ("poincare", Interval.closed(-0.025, 1.0), 0.1),
+    ("2x+h", Interval.parse("(0,1)"), 0.1), ("x+hx", HALF, 0.25), ("x^2", UNIT, 0.1),
+], ids=str)
+def test_powers_run_between_chain_intervals(kind, interval, hbar):
+    """alpha^n maps D_-n onto D_n, and every D_n lies inside the carrier."""
+    alg = CrossedProductAlgebra(_family(kind, interval, hbar).generator)
+    for n in NS:
+        assert alg.interval_n(n).subset_of(interval), n
+        assert alg.power(n).domain == alg.interval_n(-n) and alg.power(n).range == alg.interval_n(n), n
+
+
+@pytest.mark.parametrize("kind,interval,steps", [("x^2", UNIT, (4, 64)), ("2x+h", LINE, (3, 10, 64))], ids=str)
+def test_saturating_iterates_build_every_power(kind, interval, steps):
+    """Maps whose iterates saturate far out build every power: the n-fold iterate is never sample-checked."""
+    for q in steps:
+        alg = CrossedProductAlgebra(_family(kind, interval, 1 / q).generator)
+        for n in range(-70, 71):
+            assert alg.power(n).domain == interval and alg.power(n).range == interval, (q, n)
 
 
 def test_translation_chain_grid():
@@ -203,7 +234,7 @@ class TestOpenCarrierEnds:
     @pytest.mark.parametrize("kind,interval", OPEN_TOP)
     def test_composed_and_iterated_ranges_agree(self, kind, interval):
         alg = CrossedProductAlgebra(make_family(kind, Interval.parse(interval), 1 / 3).generator)
-        ranges = [alg.interval_n(n) for n in NS]  # raised the power self-check at k = 3
+        ranges = [alg.interval_n(n) for n in NS]
         # the power that would land on the excluded end is empty
         toward_top = 3 if kind != "plane_plus" else -3
         assert ranges[NS.index(toward_top)].is_empty
