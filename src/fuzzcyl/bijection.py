@@ -222,15 +222,17 @@ class SemigroupElement:
         return canonicalize(self.to_word() + other.to_word())
 
     def realize(self, alpha: PartialBijection) -> PartialBijection:
-        """The concrete partial bijection this normal form names."""
-        mask = power(alpha, self.n_plus).range.intersect(power(alpha, self.n_minus).range)
-        if mask.is_empty:
+        """alpha^m from D_(n+ - m) ∩ D_(n- - m) onto D_n+ ∩ D_n-, read off one chain.
+
+        alpha^-m carries D_m ∩ D_k onto D_-m ∩ D_(k-m), and the chain nests.
+        """
+        act = PartialAction(alpha)
+        rng = act.interval_n(self.n_plus).intersect(act.interval_n(self.n_minus))
+        dom = act.interval_n(self.n_plus - self.m).intersect(act.interval_n(self.n_minus - self.m))
+        if rng.is_empty or dom.is_empty:
             return empty_bijection(alpha.carrier)
-        restrict = PartialBijection(
-            carrier=alpha.carrier, domain=mask, range=mask,
-            forward=_identity_map, inverse=_identity_map,
-        )
-        return compose(restrict, power(alpha, self.m))
+        pw = act.power(self.m)
+        return PartialBijection(alpha.carrier, dom, rng, pw.forward, pw.inverse)
 
 
 def canonicalize(word: Sequence[int]) -> SemigroupElement:

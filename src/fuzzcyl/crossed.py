@@ -72,16 +72,21 @@ class CrossedProductAlgebra(PartialAction):
         return self.element({-1: self.p(-1)})
 
     def nilpotency_degree(self, max_steps: int = 10_000) -> int | None:
-        """Smallest n with an empty chain interval, or None if the chain survives."""
+        """Smallest n with an empty chain interval D_n, or None if the chain survives.
+
+        Each D_n comes from D_(n-1) alone, so a D_n equal to D_(n-1) repeats
+        for ever: the walk stops there with None.
+        """
         if not self.carrier.is_bounded:
             return None
-        if self.alpha.is_empty:
-            return 1
-        step = abs(float(self.alpha.apply(self.alpha.domain.lo)) - self.alpha.domain.lo)
-        bound = max_steps if step == 0 else min(max_steps, int(math.ceil(self.carrier.width / step)) + 3)
-        for n in range(1, bound + 1):
-            if self.interval_n(n).is_empty:
+        prev = self.carrier
+        for n in range(1, max_steps + 1):
+            d = self.interval_n(n)
+            if d.is_empty:
                 return n
+            if d == prev:
+                return None
+            prev = d
         return None
 
     # -- operations ---------------------------------------------------

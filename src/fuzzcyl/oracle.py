@@ -4,17 +4,21 @@ Ground set {0, ..., M-1}, partial bijections as lookup tables, coefficients
 as length-M complex vectors. Every operation is table manipulation and exact
 arithmetic, so results can be compared at machine precision against the
 interval implementation sampled on compatible grids.
+
+Each table caches its own powers; level sets, normal forms, products and
+adjoints all read that one cache. A table's orbit is a `MatrixRep`, the matrix
+model of the interval orbits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .bijection import SemigroupElement
-from .represent import add_step_term, build_orbit
+from .represent import MatrixRep, OrbitSpec, add_step_term, build_orbit
 
 
 @dataclass(frozen=True)
@@ -23,6 +27,7 @@ class FinitePartialBijection:
 
     M: int
     mapping: Mapping[int, int]
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mp = dict(self.mapping)
@@ -63,18 +68,20 @@ class FinitePartialBijection:
         )
 
     def power(self, n: int) -> "FinitePartialBijection":
-        if n == 0:
-            return FinitePartialBijection.identity(self.M)
-        step = self if n > 0 else self.inverted()
-        out = step
-        for _ in range(abs(n) - 1):
-            out = step.compose(out)
-        return out
+        """n-th power, cached; a missing power is one composition with its neighbour toward 0."""
+        pw = self._powers
+        if n not in pw:
+            if not pw:
+                pw.update({0: FinitePartialBijection.identity(self.M), 1: self, -1: self.inverted()})
+            sign = 1 if n > 0 else -1
+            for k in range(2 * sign, n + sign, sign):
+                if k not in pw:
+                    pw[k] = pw[sign].compose(pw[k - sign])
+        return pw[n]
 
     def realize(self, s: SemigroupElement) -> "FinitePartialBijection":
-        mask = self.power(s.n_plus).range_set() & self.power(s.n_minus).range_set()
-        pw = self.power(s.m)
-        return FinitePartialBijection(self.M, {k: v for k, v in pw.mapping.items() if v in mask})
+        mask = self.level_set(s.n_plus) & self.level_set(s.n_minus)
+        return FinitePartialBijection(self.M, {k: v for k, v in self.power(s.m).mapping.items() if v in mask})
 
     def realize_word(self, word: Iterable[int]) -> "FinitePartialBijection":
         out = FinitePartialBijection.identity(self.M)
@@ -87,38 +94,23 @@ class FinitePartialBijection:
         return self.power(n).range_set()
 
 
-def _mask_vector(vec: np.ndarray, allowed: frozenset[int]) -> np.ndarray:
-    out = np.zeros_like(np.asarray(vec, dtype=complex))
-    for k in allowed:
-        out[k] = vec[k]
-    return out
-
-
 class FiniteCrossedProduct:
     """Crossed product of the function algebra on {0..M-1} by one table."""
 
     def __init__(self, alpha: FinitePartialBijection):
         self.alpha = alpha
         self.M = alpha.M
-        self._inverse = alpha.inverted()
-        self._pow: dict[int, FinitePartialBijection] = {0: FinitePartialBijection.identity(self.M)}
-
-    def power(self, n: int) -> FinitePartialBijection:
-        """n-th power; each missing power is one composition with the power next to it toward 0."""
-        sign, step = (1, self.alpha) if n > 0 else (-1, self._inverse)
-        for k in range(sign, n + sign, sign):
-            if k not in self._pow:
-                self._pow[k] = step.compose(self._pow[k - sign])
-        return self._pow[n]
 
     def level_set(self, n: int) -> frozenset[int]:
-        return self.power(n).range_set()
+        return self.alpha.level_set(n)
 
     def element(self, terms: Mapping) -> "FiniteAlgebraElement":
         """Build an element; keys may be integers or normal-form triples.
 
-        A term keyed by a normal-form triple s is stored under its net power
-        after masking to s's joint range: the quotient is taken eagerly.
+        A term keyed by a normal-form triple s must live on the level sets
+        n+ and n- in common, the range of the table s names (level sets
+        nest), and is stored under its net power: the quotient is taken
+        eagerly.
         """
         out: dict[int, np.ndarray] = {}
         for key, vec in terms.items():
@@ -126,28 +118,27 @@ class FiniteCrossedProduct:
             if vec.shape != (self.M,):
                 raise ValueError(f"coefficient vector must have length {self.M}")
             if isinstance(key, SemigroupElement):
-                allowed = self.alpha.realize(key).range_set()
-                m = key.m
+                m, allowed = key.m, self.level_set(key.n_plus) & self.level_set(key.n_minus)
             else:
                 m = int(key)
                 allowed = self.level_set(m)
-            masked = _mask_vector(vec, allowed)
-            if np.any(masked != vec):
-                bad = [k for k in range(self.M) if vec[k] != 0 and k not in allowed]
+            stray = vec != 0
+            stray[list(allowed)] = False
+            if np.any(stray):
+                bad = np.flatnonzero(stray).tolist()
                 raise ValueError(f"coefficient supported outside the allowed set at indices {bad}")
-            if np.any(masked != 0):
-                out[m] = out.get(m, np.zeros(self.M, complex)) + masked
+            if np.any(vec != 0):
+                out[m] = out.get(m, np.zeros(self.M, complex)) + vec
         return FiniteAlgebraElement(self, {k: v for k, v in out.items() if np.any(v != 0)})
 
     def indicator(self, subset: Iterable[int]) -> np.ndarray:
         vec = np.zeros(self.M, complex)
-        for k in subset:
-            vec[k] = 1.0
+        vec[list(subset)] = 1.0
         return vec
 
     def unit_of(self, s: SemigroupElement) -> "FiniteAlgebraElement":
         """The partial isometry named by a normal-form triple."""
-        return self.element({s: self.indicator(self.alpha.realize(s).range_set())})
+        return self.element({s: self.indicator(self.level_set(s.n_plus) & self.level_set(s.n_minus))})
 
     def u(self) -> "FiniteAlgebraElement":
         return self.unit_of(SemigroupElement(1, 0, 1))
@@ -183,7 +174,7 @@ class FiniteAlgebraElement:
         alg = self.algebra
         out: dict[int, np.ndarray] = {}
         for n, a in self.terms.items():
-            inv_n = alg.power(n).inverted()
+            inv_n = alg.alpha.power(-n)
             for m, b in other.terms.items():
                 c = np.zeros(alg.M, complex)
                 for y, x in inv_n.mapping.items():
@@ -197,7 +188,7 @@ class FiniteAlgebraElement:
         alg = self.algebra
         out: dict[int, np.ndarray] = {}
         for m, a in self.terms.items():
-            fwd_m = alg.power(m)
+            fwd_m = alg.alpha.power(m)
             c = np.zeros(alg.M, complex)
             for x, y in fwd_m.mapping.items():
                 c[x] = np.conj(a[y])
@@ -229,32 +220,11 @@ class FiniteAlgebraElement:
 # -- exact covariant representation ----------------------------------
 
 
-@dataclass
-class FiniteOrbitRep:
-    """An orbit of the table; succ[i] is the orbit index of the image of points[i], or -1."""
-
-    points: list[int]
-    index: dict[int, int]
-    succ: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.points)
-
-    @property
-    def V(self) -> np.ndarray:
-        return add_step_term(np.zeros((self.dim, self.dim), complex), self.succ, 1, np.ones(self.dim))
-
-    @property
-    def Vstar(self) -> np.ndarray:
-        return self.V.T.conj()
-
-
 def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
     """Closure of a point under the table and its inverse; cycles close up."""
     back = []
     seen = {base}
-    inv = alpha.inverted()
+    inv = alpha.power(-1)
     y = base
     while y in inv.mapping:
         y = inv.mapping[y]
@@ -273,21 +243,19 @@ def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
     return list(reversed(back)) + [base] + fwd
 
 
-def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> FiniteOrbitRep:
+def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> MatrixRep:
+    """The orbit of base as a matrix model; succ links each point to its image's orbit index."""
     pts = finite_orbit(alpha, base)
     idx = {p: i for i, p in enumerate(pts)}
     succ = np.array([idx.get(alpha.mapping.get(p), -1) for p in pts], dtype=int)
-    return FiniteOrbitRep(pts, idx, succ)
+    return MatrixRep(OrbitSpec(alpha, np.array(pts, dtype=int), (base,), idx[base], succ))
 
 
-def oracle_represent(x: FiniteAlgebraElement, rep: FiniteOrbitRep) -> np.ndarray:
+def oracle_represent(x: FiniteAlgebraElement, rep: MatrixRep) -> np.ndarray:
     """Scatter each coefficient along its step's index map, as represent does on interval orbits."""
     out = np.zeros((rep.dim, rep.dim), complex)
     for n, vec in x.terms.items():
-        s = np.arange(rep.dim)
-        for _ in range(abs(n)):
-            s = np.where(s >= 0, rep.succ[s], -1)
-        add_step_term(out, s, n, vec[rep.points])
+        add_step_term(out, rep.index_map(n), n, vec[rep.orbit.points])
     return out
 
 
@@ -296,18 +264,20 @@ class GridIncompatible(ValueError):
 
 
 def sample_element(x, finite_algebra: FiniteCrossedProduct, points: np.ndarray) -> FiniteAlgebraElement:
-    """Evaluate an interval element's coefficients on the grid, keyed alike."""
+    """Evaluate an interval element's coefficients on the grid in one pass, keyed alike."""
+    memo: dict = {}
     return finite_algebra.element(
-        {n: np.asarray(fn(points), dtype=complex) for n, fn in x.terms.items()}
+        {n: np.asarray(fn(points, memo), dtype=complex) for n, fn in x.terms.items()}
     )
 
 
 def _sampled_diff(x, fx: FiniteAlgebraElement, points: np.ndarray) -> float:
+    memo: dict = {}
+    zero = np.zeros(len(points), complex)
     worst = 0.0
     for n in set(x.terms) | set(fx.terms):
-        iv = np.asarray(x.terms[n](points), dtype=complex) if n in x.terms else np.zeros(len(points), complex)
-        fv = fx.terms.get(n, np.zeros(len(points), complex))
-        worst = max(worst, float(np.max(np.abs(iv - fv))))
+        iv = np.asarray(x.terms[n](points, memo), dtype=complex) if n in x.terms else zero
+        worst = max(worst, float(np.max(np.abs(iv - fx.terms.get(n, zero)))))
     return worst
 
 

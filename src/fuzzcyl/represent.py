@@ -114,21 +114,14 @@ def build_orbit(alpha: PartialBijection, base_point: float, truncation: int = 64
 
 
 def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]:
-    """Keep the base point plus alternating nearest neighbours, forward first."""
-    kf = kb = 0
-    for i in range(truncation - 1):
-        prefer_f = i % 2 == 0
-        if prefer_f and kf < len_f:
-            kf += 1
-        elif not prefer_f and kb < len_b:
-            kb += 1
-        elif kf < len_f:
-            kf += 1
-        elif kb < len_b:
-            kb += 1
-        else:
-            break
-    return kb, kf
+    """Keep the base point plus alternating nearest neighbours, forward first.
+
+    Of the t = truncation - 1 neighbours, the forward side takes its half
+    (rounded up) or what the backward side leaves over, whichever is more.
+    """
+    t = truncation - 1
+    kf = min(len_f, max((t + 1) // 2, t - len_b))
+    return min(len_b, t - kf), kf
 
 
 def add_step_term(out: np.ndarray, s: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:

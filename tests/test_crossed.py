@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_cp_element, random_supported
 from fuzzcyl.interval import Interval
-from fuzzcyl.bijection import PartialBijection
+from fuzzcyl.bijection import PartialBijection, make_family
 from fuzzcyl.crossed import (
     CrossedProductAlgebra,
     Cylinder,
@@ -123,6 +123,17 @@ class TestProducts:
                 x = x * u
                 k += 1
             assert k == cyl.nilpotency_degree()
+
+    def test_nilpotency_walks_the_whole_chain(self):
+        # a contraction toward 1.01, just outside the carrier: D_44 is the first empty chain interval
+        fam = make_family("custom", UNIT, 0.1, forward="x + h*(1.01 - x)", inverse="(x - 1.01*h)/(1 - h)")
+        alg = CrossedProductAlgebra(fam.generator)
+        assert alg.nilpotency_degree() == 44
+        u43 = alg.generator_u().pow(43)
+        assert not u43.is_zero and (u43 * alg.generator_u()).is_zero
+        # the disc map's chain repeats from D_1: it never empties
+        for carrier in (UNIT, Interval.closed(-0.025, 1.0)):
+            assert CrossedProductAlgebra(make_family("poincare", carrier, 0.1).generator).nilpotency_degree() is None
 
     def test_associativity_random(self):
         rng = np.random.default_rng(101)

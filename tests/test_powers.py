@@ -138,6 +138,19 @@ def test_saturating_iterates_build_every_power(kind, interval, steps):
             assert alg.power(n).domain == interval and alg.power(n).range == interval, (q, n)
 
 
+@pytest.mark.parametrize("kind,interval,q", [
+    (kind, interval, q)
+    for kind, interval in (("x^2", Interval.closed(0.5, 2.0)), ("2x+h", Interval.closed(-0.025, 1.0)))
+    for q in (40, 64)
+], ids=str)
+def test_ulp_flat_samples_build_every_power(kind, interval, q):
+    """Neighbouring samples whose images round to one float are no decrease: every power builds."""
+    alg = CrossedProductAlgebra(_family(kind, interval, 1 / q).generator)
+    for n in range(-70, 71):
+        pw = alg.power(n)
+        assert pw.domain.subset_of(interval) and pw.range.subset_of(interval), (q, n)
+
+
 def test_translation_chain_grid():
     """h = 1/q, q = 2..64: the step element's nilpotency index is q + 1 on [0,1], q on the other unit carriers."""
     for kind in SIGNS:

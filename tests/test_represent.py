@@ -9,6 +9,7 @@ from fuzzcyl.bijection import make_family
 from fuzzcyl.crossed import CrossedProductAlgebra, Cylinder
 from fuzzcyl.functions import polynomial, pullback
 from fuzzcyl.represent import (
+    _centered_window,
     build_orbit,
     covariance_check,
     excluded_indices,
@@ -46,6 +47,30 @@ class TestOrbits:
         assert orbit.truncated
         assert orbit.points[0] == pytest.approx(-1.0)
         assert orbit.points[-1] == pytest.approx(1.25) or orbit.points[-1] == pytest.approx(1.0)
+
+    def test_centered_window_matches_alternating_walk(self):
+        def alternating(len_b, len_f, truncation):
+            """The window's former loop: nearest neighbours taken alternately, forward first."""
+            kf = kb = 0
+            for i in range(truncation - 1):
+                prefer_f = i % 2 == 0
+                if prefer_f and kf < len_f:
+                    kf += 1
+                elif not prefer_f and kb < len_b:
+                    kb += 1
+                elif kf < len_f:
+                    kf += 1
+                elif kb < len_b:
+                    kb += 1
+                else:
+                    break
+            return kb, kf
+
+        for truncation in range(1, 34):
+            for len_b in range(41):
+                for len_f in range(41):
+                    want = alternating(len_b, len_f, truncation)
+                    assert _centered_window(len_b, len_f, truncation) == want, (len_b, len_f, truncation)
 
     def test_half_line_truncation_flags(self):
         cyl = Cylinder("half_finite", Interval.at_least(0.0), 0.25)
