@@ -153,18 +153,26 @@ class PartialAction:
         self._powers = {0: identity_on(self.carrier), 1: generator, -1: generator.inverted()}
 
     def interval_n(self, n: int) -> Interval:
-        """D_n; a miss fills every member from the nearest cached one toward 0, or reads a translation's power."""
+        """D_n; a miss reads a translation's power, or fills the chain out to |n| on both sides.
+
+        alpha^k maps D_-k onto D_k, so the fill keeps the two empty together:
+        rounding can leave a sub-ulp interval on one side only.
+        """
         if n not in self._chain:
-            sign = 1 if n > 0 else -1
-            step = self._powers[sign]
-            if step.offset is not None:
+            if self.alpha.offset is not None:
                 self._chain[n] = self.power(n).range
             else:
-                for k in range(2 * sign, n + sign, sign):
+                for k in range(2, abs(n) + 1):
                     if k not in self._chain:
-                        mid = self._chain[k - sign].intersect(step.domain)
-                        self._chain[k] = EMPTY if mid.is_empty else image_monotone(mid, step.forward).intersect(self.carrier)
+                        fwd, back = self._next(k, 1), self._next(k, -1)
+                        self._chain[k], self._chain[-k] = (EMPTY, EMPTY) if fwd.is_empty or back.is_empty else (fwd, back)
         return self._chain[n]
+
+    def _next(self, k: int, sign: int) -> Interval:
+        """The one-step map's image of D_(sign (k-1)) ∩ its domain, inside the carrier."""
+        step = self._powers[sign]
+        mid = self._chain[sign * (k - 1)].intersect(step.domain)
+        return EMPTY if mid.is_empty else image_monotone(mid, step.forward).intersect(self.carrier)
 
     def power(self, n: int) -> PartialBijection:
         """alpha^n, from D_-n onto D_n."""

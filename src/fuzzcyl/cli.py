@@ -8,10 +8,10 @@ stderr as a machine-readable {"error", "context"} object.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -346,47 +346,73 @@ def _enclose(parts: list[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * level}{brackets[1]}"
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
-    """A numeric array as json's nested lists, written one axis at a time.
+def _array_rows(a: np.ndarray, level: int):
+    """A numeric array as json's nested lists, one row of its outermost axis per piece.
 
-    Complex entries are [re, im] pairs. The innermost axis gives the units: a
-    complex array's pairs, a real array's rows. Units whose entries are all +0
-    share one text; the others are written entry by entry, finite floats by
-    float.__repr__ as json does, other entries (ints, bools, json's
-    NaN/Infinity) by json.dumps. The units are then joined up axis by axis.
+    A 1-d array is one piece. Complex entries are [re, im] pairs. The
+    innermost axis gives the units: a complex array's pairs, a real array's
+    rows. Units whose entries are all +0 share one text; the others are
+    written entry by entry, finite floats by float.__repr__ as json does,
+    other entries (ints, bools, json's NaN/Infinity) by json.dumps. Each
+    piece's units are then joined up axis by axis. The complex stack, the
+    choice of text and the +0 mask are made once per array.
     """
+    whole = a.ndim == 1
     if a.dtype.kind == "c":
         a = np.stack([a.real, a.imag], axis=-1)
     text = float.__repr__ if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
     *outer, n = a.shape
     units = a.reshape(math.prod(outer), n)
     zero = ((units == 0) & ~np.signbit(units)).all(axis=1)
-    depth = level + len(outer)
-    zero_text = _enclose([text(a.dtype.type(0).item())] * n, depth)
-    rows = iter(units[~zero].tolist())
-    parts = [zero_text if z else _enclose(list(map(text, next(rows))), depth) for z in zero.tolist()]
-    for axis in range(len(outer) - 1, -1, -1):
-        k = outer[axis]
-        parts = [_enclose(parts[i * k:(i + 1) * k], level + axis) for i in range(math.prod(outer[:axis]))]
-    return parts[0]
+    zero_text = _enclose([text(a.dtype.type(0).item())] * n, level + len(outer))
+    count, inner, depth = (1, outer, level) if whole else (outer[0], outer[1:], level + 1)
+    m, unit_depth = math.prod(inner), depth + len(inner)
+    rows, zero = iter(units[~zero].tolist()), zero.tolist()
+    for r in range(count):
+        parts = [zero_text if z else _enclose(list(map(text, next(rows))), unit_depth) for z in zero[r * m:(r + 1) * m]]
+        for axis in range(len(inner) - 1, -1, -1):
+            k = inner[axis]
+            parts = [_enclose(parts[i * k:(i + 1) * k], depth + axis) for i in range(math.prod(inner[:axis]))]
+        yield parts[0] if whole else ("[" if r == 0 else ",") + "\n" + "  " * depth + parts[0]
+    if not whole:
+        yield "\n" + "  " * level + "]" if count else "[]"
 
 
-def _json_text(v, level: int = 0) -> str:
-    """The text of json.dumps(_jsonable(v), sort_keys=True, indent=2).
+def _write_json(v, fh) -> None:
+    """Writes the text of json.dumps(_jsonable(v), sort_keys=True, indent=2) to fh.
 
     json's C encoder does not indent, and its pure-Python one costs a call
-    per float; numeric arrays here are written by _array_text instead, at a
-    cost that follows their entries other than +0.
+    per float. Here the text between numeric arrays is gathered in one list
+    and written in one piece; each numeric array is written by _array_rows,
+    one row of its outermost axis at a time, at a cost that follows its
+    entries other than +0. The whole text is never held.
     """
-    if isinstance(v, np.ndarray) and v.ndim and v.dtype.kind in "biufc":
-        return _array_text(v, level)
-    if isinstance(v, dict):
-        items = {str(k): x for k, x in v.items()}
-        return _enclose([json.dumps(k) + ": " + _json_text(items[k], level + 1) for k in sorted(items)], level, "{}")
-    if isinstance(v, (list, tuple)):
-        return _enclose([_json_text(x, level + 1) for x in v], level)
-    v = _jsonable(v)
-    return _json_text(v, level) if isinstance(v, list) else json.dumps(v)
+    out: list[str] = []
+
+    def put(v, level):
+        if isinstance(v, (str, int, float)) or v is None:
+            # a finite float's json text, without json's encoder set up per call
+            out.append(float.__repr__(v) if isinstance(v, float) and math.isfinite(v) else json.dumps(v))
+        elif isinstance(v, np.ndarray) and v.ndim and v.dtype.kind in "biufc":
+            fh.write("".join(out))
+            out.clear()
+            fh.writelines(_array_rows(v, level))
+        elif isinstance(v, (dict, list, tuple)):
+            if isinstance(v, dict):
+                items = {str(k): x for k, x in v.items()}
+                pairs, brackets = [(json.dumps(k) + ": ", items[k]) for k in sorted(items)], "{}"
+            else:
+                pairs, brackets = [("", x) for x in v], "[]"
+            inner = "\n" + "  " * (level + 1)
+            for i, (head, x) in enumerate(pairs):
+                out.append(("," if i else brackets[0]) + inner + head)
+                put(x, level + 1)
+            out.append("\n" + "  " * level + brackets[1] if pairs else brackets)
+        else:
+            put(_jsonable(v), level)
+
+    put(v, 0)
+    fh.write("".join(out))
 
 
 def _flatten(prefix: str, v, rows: list):
@@ -415,42 +441,52 @@ def _csv_table(cfg: RunConfig, payload: dict) -> tuple[list[str], list[list]]:
     return ["key", "value"], [[k, v] for k, v in rows]
 
 
-def _csv_text(cfg: RunConfig, payload: dict) -> str:
-    """The CSV report, with the bytes csv.writer gives.
+def _write_csv(cfg: RunConfig, payload: dict, fh) -> None:
+    """Writes the CSV report to fh, with the bytes csv.writer gives.
 
     The rep table is numbers only, so it needs no quoting and is written
-    directly: one join per matrix row over its column texts "j,re,im", with
-    separator "\\n<row>,". Rows share the texts of +0 entries; a row with
-    other entries patches a copy, formatting those by %r.
+    directly, one matrix row per piece: a join over the row's column texts
+    "j,re,im", with separator "\\n<row>,". Rows share the texts of +0
+    entries; a row with other entries patches a copy as it is written,
+    formatting those by %r. Other tables go through csv.writer straight to fh.
     """
     if cfg.command == "rep":
         V = np.asarray(payload["V"])
         cols = [""] + ["%d,0.0,0.0" % j for j in range(V.shape[1])]
-        lines = [cols] * V.shape[0]
         other = (V != 0) | np.signbit(V.real) | np.signbit(V.imag)
+        patches: dict[int, list] = {}
         for i, j, a, b in zip(*np.nonzero(other), V.real[other].tolist(), V.imag[other].tolist()):
-            if lines[i] is cols:
-                lines[i] = cols.copy()
-            lines[i][j + 1] = "%d,%r,%r" % (j, a, b)
-        return "row,col,re,im" + "".join([("\n%d," % i).join(line) for i, line in enumerate(lines)]) + "\n"
+            patches.setdefault(int(i), []).append((j + 1, "%d,%r,%r" % (j, a, b)))
+        fh.write("row,col,re,im")
+        for i in range(V.shape[0]):
+            line = cols
+            if i in patches:
+                line = cols.copy()
+                for k, t in patches[i]:
+                    line[k] = t
+            fh.write(("\n%d," % i).join(line))
+        fh.write("\n")
+        return
     header, rows = _csv_table(cfg, payload)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+    csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
-    if cfg.format == "json":
-        echo = cfg.to_dict()
-        echo["out"] = None  # destination is not part of the run; keeps reports byte-stable
-        text = _json_text(dict(payload, config=echo)) + "\n"
-    else:
-        text = _csv_text(cfg, payload)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Writes the report to cfg.out, or to stdout, as it is produced.
+
+    Besides the payload, the text of one matrix row is held at a time (see
+    _write_json and _write_csv), and a JSON report's matrix has a working
+    copy while it is written.
+    """
+    # one write call per 64 KiB of text, not per 8 KiB, for reports written row by row
+    with open(cfg.out, "w", buffering=1 << 16) if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+        if cfg.format == "json":
+            echo = cfg.to_dict()
+            echo["out"] = None  # destination is not part of the run; keeps reports byte-stable
+            _write_json(dict(payload, config=echo), fh)
+            fh.write("\n")
+        else:
+            _write_csv(cfg, payload, fh)
 
 
 # -- entry point ------------------------------------------------------

@@ -75,9 +75,10 @@ class CrossedProductAlgebra(PartialAction):
         """Smallest n with an empty chain interval D_n, or None if the chain survives.
 
         Each D_n comes from D_(n-1) alone, so a D_n equal to D_(n-1) repeats
-        for ever: the walk stops there with None.
+        for ever: the walk stops there with None. A translation's D_n on an
+        unbounded carrier is a half-line or the line, never empty.
         """
-        if not self.carrier.is_bounded:
+        if self.alpha.offset is not None and not self.carrier.is_bounded:
             return None
         prev = self.carrier
         for n in range(1, max_steps + 1):
@@ -212,7 +213,7 @@ class Cylinder(CrossedProductAlgebra):
     @property
     def order(self) -> int | None:
         """Nilpotency degree of the step element for the finite kind, else None."""
-        return self.nilpotency_degree()
+        return self.nilpotency_degree() if self.kind == "finite" else None
 
 
 # -- checks ----------------------------------------------------------

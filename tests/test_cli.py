@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fuzzcyl
-from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _csv_text, _emit, _json_text, main
+from fuzzcyl.cli import _HANDLERS, ConfigError, RunConfig, _build_parser, _emit, _write_csv, _write_json, main
 
 SHIFT4 = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125}
 
@@ -340,6 +341,13 @@ def reference_text(v):
     return json.dumps(_jsonable_reference(v), sort_keys=True, indent=2)
 
 
+def written(write, *args):
+    """All the text a report writer gives its destination, as one string."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
 SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e16, 1e-5, 0.1, np.nan, np.inf, -np.inf]
 
 
@@ -394,8 +402,8 @@ class TestReportWriter:
         ids=lambda v: f"{v.dtype}{v.shape}",
     )
     def test_arrays_match_reference(self, value):
-        assert _json_text(value) == reference_text(value)
-        assert _json_text({"x": [value, {"y": value}]}) == reference_text({"x": [value, {"y": value}]})
+        assert written(_write_json, value) == reference_text(value)
+        assert written(_write_json, {"x": [value, {"y": value}]}) == reference_text({"x": [value, {"y": value}]})
 
     @pytest.mark.parametrize(
         "value",
@@ -413,15 +421,15 @@ class TestReportWriter:
         ids=_stable_id,
     )
     def test_scalars_and_containers_match_reference(self, value):
-        assert _json_text(value) == reference_text(value)
-        assert _json_text([value, {"k": value}]) == reference_text([value, {"k": value}])
+        assert written(_write_json, value) == reference_text(value)
+        assert written(_write_json, [value, {"k": value}]) == reference_text([value, {"k": value}])
 
     @pytest.mark.parametrize("value", [np.array(2.5), np.array(-1 + 0.5j), np.array(True), np.array(3)])
     def test_zero_dim_arrays_are_their_scalar(self, value):
         # the reference iterates over tolist(), which a 0-d array returns as a scalar
         with pytest.raises(TypeError):
             reference_text(value)
-        assert _json_text(value) == reference_text(value.item())
+        assert written(_write_json, value) == reference_text(value.item())
 
     def test_report_body_matches_reference(self, tmp_path):
         data = dict(SHIFT4, elements=[{"terms": {"0": {"type": "poly", "coeffs": [0.5, [0.0, 1.0]]}}}])
@@ -452,12 +460,12 @@ class TestRepCsv:
         cfg = RunConfig.from_dict(dict(data, command="rep", format="csv"))
         payload, _ = _HANDLERS["rep"](cfg)
         assert payload["V"].shape == (dim, dim)
-        assert _csv_text(cfg, payload) == _writer_text(_rep_rows_reference(payload["V"]))
+        assert written(_write_csv, cfg, payload) == _writer_text(_rep_rows_reference(payload["V"]))
 
     def test_special_values_match_reference(self):
         V = np.array([complex(a, b) for a in SPECIAL for b in SPECIAL[:4]]).reshape(len(SPECIAL), 4)
         cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
-        assert _csv_text(cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
+        assert written(_write_csv, cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
 
     @pytest.mark.parametrize("V", [
         np.array([[0, 0, 0], [complex(-0.0, 0), 0, 0], [0, 0, 0], [0, complex(0, np.nan), 0]]),
@@ -465,7 +473,7 @@ class TestRepCsv:
     ], ids=["sparse", "zero1x1"])
     def test_sparse_rows_match_reference(self, V):
         cfg = RunConfig.from_dict({"command": "rep", "format": "csv"})
-        assert _csv_text(cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
+        assert written(_write_csv, cfg, {"V": V}) == _writer_text(_rep_rows_reference(V))
 
 
 def test_parser_is_built_once_and_keeps_no_values(tmp_path):
@@ -532,3 +540,29 @@ def test_seeded_report_bytes_are_pinned(tmp_path, label, fmt):
     cfg, out = write_config(tmp_path, data), tmp_path / f"report.{fmt}"
     assert main([command, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
+
+
+@pytest.mark.parametrize("label,fmt", [(label, fmt) for label in ("rep:dim256", "subalgebra:h0.1") for fmt in ("json", "csv")])
+def test_stdout_report_bytes_are_pinned(tmp_path, capsysbinary, label, fmt):
+    command, data, digests = PINNED[label]
+    assert main([command, "--config", write_config(tmp_path, data), "--format", fmt]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digests[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_is_written_without_holding_it_whole(tmp_path, fmt):
+    """Emitting the dim-256 rep report allocates at its peak less than half the report's length."""
+    command, data, digests = PINNED["rep:dim256"]
+    out = tmp_path / f"report.{fmt}"
+    cfg = RunConfig.from_dict(dict(data, command=command, format=fmt, out=str(out)))
+    payload, _ = _HANDLERS[command](cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _emit(cfg, payload)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
+    assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)

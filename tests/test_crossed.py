@@ -135,6 +135,17 @@ class TestProducts:
         for carrier in (UNIT, Interval.closed(-0.025, 1.0)):
             assert CrossedProductAlgebra(make_family("poincare", carrier, 0.1).generator).nilpotency_degree() is None
 
+    def test_nilpotency_walks_unbounded_carriers(self):
+        # -1/x sends (-inf, -1] into (0, 1], off the carrier: D_1 is empty and u itself is 0
+        fam = make_family("custom", Interval.parse("(-inf, -1]"), 0.1, forward="-1/x", inverse="-1/x")
+        alg = CrossedProductAlgebra(fam.generator)
+        assert alg.generator_u().is_zero and alg.interval_n(1).is_empty
+        assert alg.nilpotency_degree() == 1
+        # a translation's chain on a half-line or the line never empties
+        for carrier in (Interval.at_least(0.0), Interval.parse("(-inf, 0]"), Interval.real_line()):
+            for kind in ("shift", "plane_plus"):
+                assert CrossedProductAlgebra(make_family(kind, carrier, 1e-6).generator).nilpotency_degree() is None
+
     def test_associativity_random(self):
         rng = np.random.default_rng(101)
         cyl = quarter_cylinder()

@@ -151,6 +151,24 @@ def test_ulp_flat_samples_build_every_power(kind, interval, q):
         assert pw.domain.subset_of(interval) and pw.range.subset_of(interval), (q, n)
 
 
+@pytest.mark.parametrize("kind,interval,q", [
+    ("2x+h", "(0,1)", 3), ("2x+h", "[0,1)", 7), ("2x+h", "(0,1]", 15), ("2x+h", "[0,1]", 3), ("x^2", "[0.5,2]", 4),
+], ids=str)
+@pytest.mark.parametrize("first", [1, -1])
+def test_chain_ends_are_empty_together(kind, interval, q, first):
+    """alpha^n maps D_-n onto D_n, so the two are empty together, whichever side is asked for first.
+
+    At h = 1/3, 2x + h on (0, 1) has D_2 empty, while the inverse's image of D_-1 leaves a sub-ulp interval.
+    """
+    alg = CrossedProductAlgebra(_family(kind, Interval.parse(interval), 1 / q).generator)
+    for n in range(1, 71):
+        ends = [alg.interval_n(first * n), alg.interval_n(-first * n)]
+        assert ends[0].is_empty == ends[1].is_empty, (n, ends)
+        assert alg.power(n).is_empty == ends[0].is_empty, n
+    if (kind, interval, q) == ("2x+h", "(0,1)", 3):
+        assert alg.interval_n(2).is_empty and alg.interval_n(-2).is_empty
+
+
 def test_translation_chain_grid():
     """h = 1/q, q = 2..64: the step element's nilpotency index is q + 1 on [0,1], q on the other unit carriers."""
     for kind in SIGNS:
