@@ -113,6 +113,10 @@ class RunConfig:
             raise ConfigError("truncation must be at least 1", {"truncation": cfg.truncation})
         if cfg.seed < 0:
             raise ConfigError("seed must be nonnegative", {"seed": cfg.seed})
+        if not 0 <= cfg.tolerance < math.inf:
+            raise ConfigError("tolerance must be finite and nonnegative", {"tolerance": str(cfg.tolerance)})
+        if cfg.random_elements < 0:
+            raise ConfigError("random_elements must be nonnegative", {"random_elements": cfg.random_elements})
         for el in cfg.elements:
             if not isinstance(el, dict) or not isinstance(el.get("terms"), dict):
                 raise ConfigError("each element needs a 'terms' object keyed by step index")

@@ -30,6 +30,8 @@ from .functions import (
     twisted_sum,
 )
 
+RESIDUAL_TOL = 1e-9  # largest coefficient residual the relation checks below accept by default
+
 
 class CrossedProductAlgebra(PartialAction):
     """The crossed product by the partial action of one generator: element construction and operations."""
@@ -71,8 +73,8 @@ class CrossedProductAlgebra(PartialAction):
     def generator_u_star(self) -> "CrossedProductElement":
         return self.element({-1: self.p(-1)})
 
-    def nilpotency_degree(self, max_steps: int = 10_000) -> int | None:
-        """Smallest n with an empty chain interval D_n, or None if the chain survives.
+    def nilpotency_degree(self) -> int | None:
+        """Smallest n <= 10,000 with an empty chain interval D_n, or None if the chain survives.
 
         Each D_n comes from D_(n-1) alone, so a D_n equal to D_(n-1) repeats
         for ever: the walk stops there with None. A translation's D_n on an
@@ -81,7 +83,7 @@ class CrossedProductAlgebra(PartialAction):
         if self.alpha.offset is not None and not self.carrier.is_bounded:
             return None
         prev = self.carrier
-        for n in range(1, max_steps + 1):
+        for n in range(1, 10_001):
             d = self.interval_n(n)
             if d.is_empty:
                 return n
@@ -219,15 +221,10 @@ class Cylinder(CrossedProductAlgebra):
 # -- checks ----------------------------------------------------------
 
 
-def u_relations_check(
-    alg: CrossedProductAlgebra,
-    f: SupportedFunction | None = None,
-    grid_size: int = 101,
-    tol: float = 1e-9,
-) -> dict:
-    """Verify the defining relations of the step element against its adjoint."""
-    if f is None:
-        f = polynomial([0.3, 1.0, 0.25j], alg.carrier)
+def u_relations_check(alg: CrossedProductAlgebra, grid_size: int = 101, tol: float = RESIDUAL_TOL) -> dict:
+    """Verify the defining relations of the step element against its adjoint,
+    with f = 0.3 + x + 0.25i x^2 as the coefficient the step moves."""
+    f = polynomial([0.3, 1.0, 0.25j], alg.carrier)
     u = alg.generator_u()
     us = alg.generator_u_star()
     fe = alg.element({0: f})
@@ -253,16 +250,12 @@ def u_relations_check(
     return {"relations": rows, "max_residual": worst, "pass": bool(worst <= tol)}
 
 
-def equal_as_cyl(
-    x: CrossedProductElement,
-    y: CrossedProductElement,
-    grid_size: int = 101,
-    tol: float = 1e-9,
-) -> bool:
+def equal_as_cyl(x: CrossedProductElement, y: CrossedProductElement) -> bool:
     """Compare an element over alpha with one over the inverse presentation.
 
     y's algebra must be generated by the inverse of x's generator; step n of x
-    corresponds to step -n of y with the same coefficient.
+    corresponds to step -n of y with the same coefficient. They are equal when
+    their `distance` over 101 carrier points is at most RESIDUAL_TOL.
     """
     ax, ay = x.algebra, y.algebra
     if ax.carrier != ay.carrier:
@@ -275,17 +268,14 @@ def equal_as_cyl(
         if drift > 1e-9 * (1.0 + float(np.max(np.abs(probe)))):
             raise ValueError("second presentation is not the inverse of the first")
     flipped = ay.element({-n: fn for n, fn in x.terms.items()})
-    return ay.distance(flipped, y, grid_size) <= tol
+    return ay.distance(flipped, y) <= RESIDUAL_TOL
 
 
 def fixed_point_subalgebra_check(
-    alg: CrossedProductAlgebra,
-    fixed_set: Interval,
-    elems: list[CrossedProductElement],
-    grid_size: int = 101,
-    tol: float = 1e-9,
+    alg: CrossedProductAlgebra, fixed_set: Interval, elems: list[CrossedProductElement]
 ) -> dict:
-    """On a set the bijection fixes pointwise, supported elements must commute."""
+    """On a set the bijection fixes pointwise, supported elements must commute:
+    each commutator's `distance` over 101 carrier points is at most RESIDUAL_TOL."""
     report: dict = {"fixed_set": str(fixed_set), "pass": False}
     if fixed_set.is_empty:
         report.update({"vacuous": True, "precondition_ok": True, "pass": True, "pairs": []})
@@ -314,11 +304,11 @@ def fixed_point_subalgebra_check(
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             prod = elems[i] * elems[j]
-            r = alg.distance(prod, elems[j] * elems[i], grid_size)
+            r = alg.distance(prod, elems[j] * elems[i])
             closed = all(fn.support.subset_of(fixed_set, SUPPORT_TOL) for fn in prod.terms.values())
             worst = max(worst, r)
             rows.append({"pair": [i, j], "commutator_residual": r, "closed": bool(closed)})
     report["pairs"] = rows
     report["max_commutator_residual"] = worst
-    report["pass"] = bool(not stray and worst <= tol and all(row["closed"] for row in rows))
+    report["pass"] = bool(not stray and worst <= RESIDUAL_TOL and all(row["closed"] for row in rows))
     return report

@@ -90,16 +90,16 @@ class SupportedFunction:
         """This function, evaluated once per point array within a pass."""
         return self if self.op == "memo" else self._node("memo", self)
 
-    def derivative(self, step: float = 1e-5) -> "SupportedFunction":
-        """The analytic derivative where every leaf below has one, else a central difference."""
+    def derivative(self) -> "SupportedFunction":
+        """The analytic derivative where every leaf below has one, else a central difference of step 1e-5."""
         d = None
         if self.op == "leaf" and self.deriv is not None:
             d = SupportedFunction(self.support, self.deriv, self.carrier)
         elif self.op in ("memo", "scale", "conj"):
-            inner = self.args[0].derivative(step)
+            inner = self.args[0].derivative()
             if inner.op != "derivative":
                 d = inner.restrict(self.support) if self.op == "memo" else self._node(self.op, inner, *self.args[1:])
-        return self._node("derivative", self, step) if d is None else d
+        return self._node("derivative", self) if d is None else d
 
     @property
     def is_zero(self) -> bool:
@@ -171,7 +171,7 @@ def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict,
     if op == "conj":
         return np.conjugate(_formula(args[0], xs, mask, memo, inside))
     if op == "derivative":
-        g, step = args
+        g, step = args[0], 1e-5
         return (_formula(g, xs + step, mask, memo, False) - _formula(g, xs - step, mask, memo, False)) / (2.0 * step)
     if op == "pullback":
         g, pb = args
@@ -372,14 +372,15 @@ def twisted_sum(pairs: Sequence[tuple]) -> SupportedFunction:
                              tuple(pairs))
 
 
-def residual(f: SupportedFunction, g: SupportedFunction, grid_size: int = 101) -> float:
-    """Max absolute difference over the default carrier grid."""
+def residual(f: SupportedFunction, g: SupportedFunction) -> float:
+    """Max absolute difference over the 101-point carrier grid."""
     f._check_carrier(g)
-    xs = f.carrier.grid(grid_size)
+    xs = f.carrier.grid()
     if xs.size == 0:
         return 0.0
     return float(np.max(np.abs(f(xs) - g(xs))))
 
 
-def approx_equal(f: SupportedFunction, g: SupportedFunction, grid_size: int = 101, tol: float = 1e-9) -> bool:
-    return residual(f, g, grid_size) <= tol
+def approx_equal(f: SupportedFunction, g: SupportedFunction, tol: float = 1e-9) -> bool:
+    """Whether the residual over the 101-point carrier grid is at most tol."""
+    return residual(f, g) <= tol

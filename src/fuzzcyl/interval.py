@@ -267,31 +267,29 @@ class Interval:
 
     # -- sampling -----------------------------------------------------
 
-    def grid(self, n: int = 101, window: float = 8.0) -> np.ndarray:
-        """Uniform sample points; unbounded ends are cut at +-window."""
+    def grid(self, n: int = 101) -> np.ndarray:
+        """Uniform sample points; unbounded ends are cut at +-8."""
         if self.is_empty:
             return np.empty(0)
         if self.is_degenerate:
             return np.array([self.lo])
-        lo = self.lo if math.isfinite(self.lo) else -window
-        hi = self.hi if math.isfinite(self.hi) else window
+        lo = self.lo if math.isfinite(self.lo) else -8.0
+        hi = self.hi if math.isfinite(self.hi) else 8.0
         if lo >= hi:
-            # carrier lies entirely outside the default window
+            # carrier lies entirely outside the window
             if math.isfinite(self.lo):
-                lo, hi = self.lo, self.lo + 2 * window if not math.isfinite(self.hi) else self.hi
+                lo, hi = self.lo, self.lo + 16.0 if not math.isfinite(self.hi) else self.hi
             else:
-                lo, hi = self.hi - 2 * window, self.hi
+                lo, hi = self.hi - 16.0, self.hi
         return np.linspace(lo, hi, n)
 
-    def interior_grid(self, n: int = 101, window: float = 8.0, shrink: float = 1e-7) -> np.ndarray:
-        """Like grid() but with finite endpoints pulled inward by a relative margin."""
-        if self.is_empty or self.is_degenerate:
-            return self.grid(n, window)
-        lo = self.lo if math.isfinite(self.lo) else -window
-        hi = self.hi if math.isfinite(self.hi) else window
-        if lo >= hi:
-            return self.grid(n, window)
-        pad = shrink * (1.0 + max(abs(lo), abs(hi)))
+    def interior_grid(self, n: int = 101) -> np.ndarray:
+        """Like grid() but with finite endpoints pulled inward by 1e-7 * (1 + max |endpoint|)."""
+        lo = self.lo if math.isfinite(self.lo) else -8.0
+        hi = self.hi if math.isfinite(self.hi) else 8.0
+        if lo >= hi:  # empty, a point, or outside the window
+            return self.grid(n)
+        pad = 1e-7 * (1.0 + max(abs(lo), abs(hi)))
         if math.isfinite(self.lo):
             lo += pad
         if math.isfinite(self.hi):
@@ -306,13 +304,13 @@ def _strictly_increasing(xs: np.ndarray) -> bool:
     return bool(np.all(np.diff(xs) > 0))
 
 
-def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray], samples: int = 33) -> Interval:
+def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray]) -> Interval:
     """Image of an interval under a strictly monotone continuous map.
 
-    Endpoint images determine orientation; a sampled grid check rejects maps
-    that step against it between samples. Neighbouring samples whose images
-    round to the same float pass, so a valid map is never refused at ulp
-    scale. Equal endpoint images are refused unless the interval is a few
+    Endpoint images determine orientation; a check on 33 interior grid
+    points rejects maps that step against it between samples. Neighbouring
+    samples whose images round to the same float pass, so a valid map is
+    never refused at ulp scale. Equal endpoint images are refused unless the interval is a few
     ulps wide (no strictly increasing sample grid), where they give a point.
     Open/closed endpoints map to open/closed images (infinite images are open).
     """
@@ -326,7 +324,7 @@ def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray], samples
     b = float(fn(np.asarray(iv.hi, dtype=float)))
     if math.isnan(b):
         raise ValueError(f"map undefined at endpoint {iv.hi}")
-    xs = iv.grid(samples + 2)[1:-1]
+    xs = iv.grid(35)[1:-1]
     if a == b:
         if _strictly_increasing(xs):
             raise ValueError("map is not strictly monotone: equal endpoint images")

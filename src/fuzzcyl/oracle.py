@@ -43,12 +43,9 @@ class FinitePartialBijection:
         return FinitePartialBijection(M, {k: k for k in range(M)})
 
     @staticmethod
-    def from_shift(M: int, window: Iterable[int] | None = None) -> "FinitePartialBijection":
-        """k -> k+1 where it stays inside the ground set (or inside window)."""
-        allowed = set(range(M)) if window is None else set(window)
-        return FinitePartialBijection(
-            M, {k: k + 1 for k in allowed if (k + 1) < M and (k + 1) in allowed}
-        )
+    def from_shift(M: int) -> "FinitePartialBijection":
+        """k -> k+1 where it stays inside the ground set."""
+        return FinitePartialBijection(M, {k: k + 1 for k in range(M - 1)})
 
     def domain_set(self) -> frozenset[int]:
         return frozenset(self.mapping.keys())

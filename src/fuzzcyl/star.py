@@ -25,6 +25,11 @@ from .crossed import CrossedProductAlgebra, CrossedProductElement
 from .functions import SupportedFunction, zero_function
 
 
+ALIAS_TOL = 1e-9  # mode weight psi_inv reports as aliasing, or drops as no mode
+ORDER_WINDOW = (0.9, 1.1)  # the fitted decay order classical_limit_check accepts
+BRACKET_RTOL = 0.1  # and the largest relative error of its commutator against the bracket
+
+
 class AliasingError(ValueError):
     """Fourier content above the declared top mode folded into the window."""
 
@@ -66,13 +71,7 @@ def psi(x: CrossedProductElement) -> CylinderFunction:
     return CylinderFunction(x.algebra.carrier, dict(x.terms), x.algebra)
 
 
-def psi_inv(
-    f,
-    algebra: CrossedProductAlgebra | None = None,
-    max_n: int | None = None,
-    grid_size: int = 101,
-    alias_tol: float = 1e-9,
-) -> CrossedProductElement:
+def psi_inv(f, algebra: CrossedProductAlgebra | None = None, max_n: int | None = None) -> CrossedProductElement:
     """Recover an element from a cylinder function by angular quadrature.
 
     f may be a CylinderFunction or a plain callable f(xs, phi). The node count
@@ -80,6 +79,7 @@ def psi_inv(
     2*max_n, which is what lets the aliasing probe below actually see folded
     content instead of silently absorbing it. At nodes phi_j = -pi + 2 pi j/K,
     mode n is (-1)^n/K times entry n mod K of the FFT of f(x, phi_j) over j.
+    Mode weights are read on 101 points and compared with ALIAS_TOL = 1e-9.
     """
     if isinstance(f, CylinderFunction):
         algebra = algebra or f.algebra
@@ -101,12 +101,12 @@ def psi_inv(
     def spectrum(xs):
         return np.fft.fft(sample(xs, nodes), axis=1)
 
-    probe = algebra.carrier.grid(grid_size)
+    probe = algebra.carrier.grid()
     peaks = np.max(np.abs(spectrum(probe)), axis=0, initial=0.0) / K
     for n in range(max_n + 1, 2 * max_n + 1):
         for sign in (1, -1):
             peak = float(peaks[(sign * n) % K])
-            if peak > alias_tol:
+            if peak > ALIAS_TOL:
                 raise AliasingError(
                     f"mode {sign * n} carries weight {peak:.3g} above the declared top mode {max_n}"
                 )
@@ -117,19 +117,17 @@ def psi_inv(
         if support.is_empty:
             continue
         fn = SupportedFunction(support, None, algebra.carrier, op="mode", args=(spectrum, n % K, (-1) ** n / K))
-        inner = support.interior_grid(grid_size)
+        inner = support.interior_grid()
         peak = float(np.max(np.abs(fn(inner)))) if inner.size else 0.0
-        if peak <= alias_tol:
+        if peak <= ALIAS_TOL:
             continue
         terms[n] = fn
     return algebra.element(terms)
 
 
-def star(f: CylinderFunction, g: CylinderFunction, algebra: CrossedProductAlgebra | None = None) -> CylinderFunction:
-    """Multiply two cylinder functions through the crossed product."""
-    algebra = algebra or f.algebra or g.algebra
-    if algebra is None:
-        raise ValueError("star product needs an algebra (attach one or pass it)")
+def star(f: CylinderFunction, g: CylinderFunction) -> CylinderFunction:
+    """Multiply two cylinder functions through the crossed product that f, or else g, is attached to."""
+    algebra = f.algebra or g.algebra
     x = psi_inv(f, algebra)
     y = psi_inv(g, algebra)
     return psi(x * y)
@@ -152,12 +150,13 @@ class PoissonCoefficient:
         return PoissonCoefficient.finite_difference(family)
 
     @staticmethod
-    def finite_difference(family: BijectionFamily, step: float = 1e-4) -> "PoissonCoefficient":
+    def finite_difference(family: BijectionFamily) -> "PoissonCoefficient":
+        """beta as the centered difference of the family in the step, at steps +-1e-4."""
         raw = family.raw_forward
 
         def beta(u):
             u = np.asarray(u, dtype=float)
-            return (np.asarray(raw(step, u)) - np.asarray(raw(-step, u))) / (2.0 * step)
+            return (np.asarray(raw(1e-4, u)) - np.asarray(raw(-1e-4, u))) / 2e-4
 
         return PoissonCoefficient(beta, f"{family.kind} centered difference")
 
@@ -183,13 +182,10 @@ def poisson_bracket(
     return CylinderFunction(f.carrier, out)
 
 
-def _margin_grid(carrier: Interval, hbar: float, grid_size: int, margin_mul: float) -> np.ndarray:
-    lo = carrier.lo if math.isfinite(carrier.lo) else -8.0
-    hi = carrier.hi if math.isfinite(carrier.hi) else 8.0
-    if math.isfinite(carrier.lo):
-        lo += margin_mul * hbar
-    if math.isfinite(carrier.hi):
-        hi -= margin_mul * hbar
+def _margin_grid(carrier: Interval, hbar: float, grid_size: int) -> np.ndarray:
+    """grid_size points from 2 hbar inside each finite end of carrier; unbounded ends are cut at +-8."""
+    lo = carrier.lo + 2.0 * hbar if math.isfinite(carrier.lo) else -8.0
+    hi = carrier.hi - 2.0 * hbar if math.isfinite(carrier.hi) else 8.0
     if lo >= hi:
         raise ValueError("margin swallowed the whole interval; step too large")
     return np.linspace(lo, hi, grid_size)
@@ -201,29 +197,27 @@ def classical_limit_check(
     family: BijectionFamily,
     hbars: Sequence[float],
     grid_size: int = 101,
-    margin_mul: float = 2.0,
-    beta: PoissonCoefficient | None = None,
-    order_window: tuple[float, float] = (0.9, 1.1),
-    bracket_rtol: float = 0.1,
 ) -> dict:
     """Contract the star product toward the pointwise product and fit the rate.
 
     For each step value the first-order defect
         R(h) = max | (f*g - fg)/h - i beta df/dphi dg/dx |
     is evaluated on a compact window clear of the interval ends, then a
-    log-log fit of R against h estimates the decay order. The window margin is
-    set by the largest step in the sweep and held fixed, so every row takes
-    its sup over the same set; letting the window grow as h shrinks would
-    fold window motion into the fitted order. The star commutator divided by
-    -i*h is compared against the bracket at the smallest step. The check is one
-    evaluation pass, so each coefficient is evaluated once on the window.
+    log-log fit of R against h estimates the decay order, which must lie in
+    [0.9, 1.1]. The window margin is 2h, h the largest step in the sweep,
+    held fixed, so every row takes its sup over the same set; letting the
+    window grow as h shrinks would fold window motion into the fitted order.
+    The star commutator divided by -i*h is compared against the bracket of
+    the family's beta at the smallest step, to a relative error of 0.1. The
+    check is one evaluation pass, so each coefficient is evaluated once on
+    the window.
     """
     hbars = sorted(float(h) for h in hbars)
     if not hbars or hbars[0] <= 0:
         raise ValueError("need positive step values")
-    beta = beta or PoissonCoefficient.for_family(family)
+    beta = PoissonCoefficient.for_family(family)
     b = _beta_function(beta, family.interval)
-    xs = _margin_grid(family.interval, hbars[-1], grid_size, margin_mul)
+    xs = _margin_grid(family.interval, hbars[-1], grid_size)
     memo: dict = {}
 
     rows = []
@@ -263,7 +257,7 @@ def classical_limit_check(
         lx = np.array([p[0] for p in logs])
         ly = np.array([p[1] for p in logs])
         fitted_order = float(np.polyfit(lx, ly, 1)[0])
-        order_ok = order_window[0] <= fitted_order <= order_window[1]
+        order_ok = ORDER_WINDOW[0] <= fitted_order <= ORDER_WINDOW[1]
     else:
         fitted_order = math.inf  # defect vanished identically: faster than any power
         order_ok = True
@@ -289,7 +283,7 @@ def classical_limit_check(
         "fitted_order": fitted_order,
         "order_ok": bool(order_ok),
         "bracket_rel_err": bracket_rel_err,
-        "bracket_ok": bool(bracket_rel_err <= bracket_rtol),
+        "bracket_ok": bool(bracket_rel_err <= BRACKET_RTOL),
         "beta_label": beta.label,
-        "pass": bool(order_ok and bracket_rel_err <= bracket_rtol),
+        "pass": bool(order_ok and bracket_rel_err <= BRACKET_RTOL),
     }

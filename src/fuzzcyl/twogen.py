@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .bijection import PartialBijection, identity_on, make_family, poincare_validity_bound
-from .bijection import _poincare_forward, _poincare_inverse
+from .bijection import _BETAS, _poincare_forward, _poincare_inverse
 from .crossed import CrossedProductAlgebra, CrossedProductElement
 from .functions import SupportedFunction, zero_function
 from .interval import Interval, image_monotone
@@ -31,6 +31,8 @@ PROFILE_KINDS = ("plane_plus", "plane_minus", "poincare")
 
 ZERO_TOL = 1e-6
 WEIGHT_TOL = 1e-9
+REGION_TOL = 1e-9
+OVERLAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,11 @@ class CommutatorProfile:
 
     @staticmethod
     def builtin(name: str) -> "CommutatorProfile":
-        if name == "plane_plus":
-            return CommutatorProfile(lambda u: np.ones_like(np.asarray(u, dtype=float)), name)
-        if name == "plane_minus":
-            return CommutatorProfile(lambda u: -np.ones_like(np.asarray(u, dtype=float)), name)
-        if name == "poincare":
-            return CommutatorProfile(lambda u: 0.5 * (1.0 - np.asarray(u, dtype=float)) ** 2, name)
-        raise ValueError(f"unknown profile {name!r}; builtins are {PROFILE_KINDS}")
+        """The profile of a built-in family: C = -beta, beta its step-derivative at zero."""
+        if name not in PROFILE_KINDS:
+            raise ValueError(f"unknown profile {name!r}; builtins are {PROFILE_KINDS}")
+        beta = _BETAS[name]
+        return CommutatorProfile(lambda u: -beta(u), name)
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,23 @@ def identity_reparametrization(interval: Interval, profile: CommutatorProfile, h
     return make_reparametrization(identity_on(interval), profile, hbar)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f on [lo, hi], to a bracket width or |f| of 1e-12, in at most 200 halvings."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
-        # a root within tol just past an end, e.g. an end that was itself found by bisection
+        # a root within 1e-12 just past an end, e.g. an end that was itself found by bisection
         end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
-        if abs(fend) <= tol:
+        if abs(fend) <= 1e-12:
             return end
         raise ValueError(f"no bracket on [{lo}, {hi}] (f: {flo:.3g} .. {fhi:.3g})")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or hi - lo <= tol:
+        if fm == 0.0 or hi - lo <= 1e-12:
             return mid
         if flo * fm < 0:
             hi = mid
@@ -114,14 +115,13 @@ def defining_equation_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def solve_action_from_profile(
-    profile: CommutatorProfile, interval: Interval, hbar: float, grid_size: int = 101
-) -> PartialBijection:
+def solve_action_from_profile(profile: CommutatorProfile, interval: Interval, hbar: float) -> PartialBijection:
     """Recover the step map from the commutator profile on the given interval.
 
     Built-in profiles use their closed forms; anything else is solved by
     bisection, which needs a finite interval to bracket on. Either way the
     result is substituted back into the step equation before it is returned.
+    Both sample 101 points: monotonicity before, the residual after.
     """
     if hbar <= 0:
         raise ValueError("step must be positive")
@@ -140,7 +140,7 @@ def solve_action_from_profile(
         def minus_side(t):
             return t - 0.5 * hbar * float(profile.C(t))
 
-        ts = np.linspace(lo, hi, grid_size)
+        ts = np.linspace(lo, hi, 101)
         for side in (plus_side, minus_side):
             vals = np.array([side(t) for t in ts])
             if np.any(np.diff(vals) <= 0):
@@ -176,7 +176,7 @@ def solve_action_from_profile(
         domain = Interval(u_min, u_max, interval.lo_closed, interval.hi_closed)
         action = PartialBijection(interval, domain, image_monotone(domain, forward), forward, inverse)
 
-    residual = defining_equation_residual(action, profile, hbar, grid_size)
+    residual = defining_equation_residual(action, profile, hbar)
     if residual > 1e-10:
         raise RuntimeError(f"recovered step map violates its defining equation by {residual:.3g}")
     return action
@@ -278,14 +278,15 @@ def _closed_forms(setup: TwoGenSetup, region: str, us: np.ndarray):
     return -rho + 0.5 * h * c, 0.5 * (rho - 0.5 * h * c)
 
 
-def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol: float = 1e-10) -> dict:
+def two_gen_relations(setup: TwoGenSetup) -> dict:
     """Check the piecewise commutator and anticommutator laws region by region.
 
     The computed side is the setup's step-0 coefficients, which come out of
     crossed-product arithmetic; the closed forms are evaluated independently
-    through the chart. The report also records which region carries AA* and
-    which carries A*A: each product vanishes on the exclusive region that
-    lies outside its own support, not on the one inside it.
+    through the chart, to REGION_TOL = 1e-9 (OVERLAP_TOL = 1e-10 for the
+    overlap identity [A, A*] = h C). The report also records which region
+    carries AA* and which carries A*A: each product vanishes on the exclusive
+    region that lies outside its own support, not on the one inside it.
     """
     profile, hbar, grid_size = setup.profile, setup.hbar, setup.grid_size
     regions = []
@@ -309,7 +310,7 @@ def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol:
                 "interval": str(piece),
                 "commutator_residual": r_comm,
                 "anticommutator_residual": r_anti,
-                "pass": bool(r_comm <= region_tol and r_anti <= region_tol),
+                "pass": bool(r_comm <= REGION_TOL and r_anti <= REGION_TOL),
             }
         )
         if name == "overlap":
@@ -326,11 +327,11 @@ def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol:
     # support's exclusive region (on_support), or zero on the opposite one
     # (off_support); the crossed-product arithmetic realizes off_support
     on_support = all(
-        one_sided[r] is None or one_sided[r][k] <= region_tol
+        one_sided[r] is None or one_sided[r][k] <= REGION_TOL
         for r, k in (("only_plus", "max_AA*"), ("only_minus", "max_A*A"))
     )
     off_support = all(
-        one_sided[r] is None or one_sided[r][k] <= region_tol
+        one_sided[r] is None or one_sided[r][k] <= REGION_TOL
         for r, k in (("only_plus", "max_A*A"), ("only_minus", "max_AA*"))
     )
     orientation = {(True, True): "both", (True, False): "on_support", (False, True): "off_support"}.get(
@@ -340,7 +341,7 @@ def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol:
     eq_residual = defining_equation_residual(setup.action, profile, hbar, grid_size)
     relations_pass = bool(
         all(r["pass"] for r in regions)
-        and (overlap_identity is None or overlap_identity <= overlap_tol)
+        and (overlap_identity is None or overlap_identity <= OVERLAP_TOL)
         and eq_residual <= 1e-10
         and off_support
     )
@@ -362,21 +363,21 @@ def two_gen_relations(setup: TwoGenSetup, region_tol: float = 1e-9, overlap_tol:
     }
 
 
-def _approach(fn, anchor: float, direction: float, width: float, k_max: int):
-    ks = np.arange(1, k_max + 1)
+def _approach(fn, anchor: float, direction: float, width: float):
+    ks = np.arange(1, 21)
     pts = anchor + direction * width * 0.5**ks
     vals = fn(pts)
     return float(np.real(vals[-1]))
 
 
-def boundary_continuity_check(setup: TwoGenSetup, k_max: int = 20, zero_tol: float = ZERO_TOL) -> dict:
+def boundary_continuity_check(setup: TwoGenSetup) -> dict:
     """Examine the seam between the exclusive regions and the overlap.
 
     For each nonempty exclusive region the report identifies the interval
     border u0 and the seam point u1, confirms that the action links them,
-    estimates one-sided limits at u1 by geometric approach sequences, and
-    records the iff-pair: the relation functions are continuous across u1
-    exactly when they vanish at u0. The weight values at u0 and u1 expose
+    estimates one-sided limits at u1 from u1 +- width/2^20, and records the
+    iff-pair: the relation functions are continuous across u1 exactly when
+    they vanish at u0, both to ZERO_TOL. The weight values at u0 and u1 expose
     the vanishing condition a classical limit would additionally need.
     """
     alg = setup.algebra
@@ -417,11 +418,11 @@ def boundary_continuity_check(setup: TwoGenSetup, k_max: int = 20, zero_tol: flo
         zero_all, cont_all = True, True
         for label, f in functions.items():
             v0 = float(np.real(f(np.array([u0]))[0]))
-            lim_in = _approach(f, u1, d_in, width, k_max)
-            lim_out = _approach(f, u1, -d_in, w_out, k_max)
+            lim_in = _approach(f, u1, d_in, width)
+            lim_out = _approach(f, u1, -d_in, w_out)
             jump = abs(lim_in - lim_out)
-            zero = abs(v0) <= zero_tol * (1.0 + abs(v0))
-            cont = jump <= zero_tol * (1.0 + abs(lim_in))
+            zero = abs(v0) <= ZERO_TOL * (1.0 + abs(v0))
+            cont = jump <= ZERO_TOL * (1.0 + abs(lim_in))
             zero_all &= zero
             cont_all &= cont
             entry[label] = {
@@ -443,11 +444,11 @@ def boundary_continuity_check(setup: TwoGenSetup, k_max: int = 20, zero_tol: flo
         entry["weight_at_u1"] = w1
         if entry["both_conditions_hold"]:
             entry["root_residual"] = abs(w0)
-            entry["root_condition_holds"] = bool(abs(w0) <= zero_tol)
+            entry["root_condition_holds"] = bool(abs(w0) <= ZERO_TOL)
         if name == "only_minus":
             # a classical limit would need the weight to vanish at both seam
             # points; exposed, not resolved
-            entry["c0_condition_holds"] = bool(abs(w0) <= zero_tol and abs(w1) <= zero_tol)
+            entry["c0_condition_holds"] = bool(abs(w0) <= ZERO_TOL and abs(w1) <= ZERO_TOL)
         cases[name] = entry
 
     report = {

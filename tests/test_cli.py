@@ -249,6 +249,23 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"command": "subalgebra", "hbars": [0.1, -0.5]})
 
+    @pytest.mark.parametrize(
+        "command,flags,data,field",
+        [
+            ("algebra-check", ["--tolerance", "nan"], {}, "tolerance"),
+            ("algebra-check", ["--tolerance", "-1"], {}, "tolerance"),
+            ("algebra-check", [], {"tolerance": float("inf")}, "tolerance"),
+            ("oracle", [], {"random_elements": -3}, "random_elements"),
+        ],
+        ids=["tolerance-nan", "tolerance-negative", "tolerance-inf", "random-elements-negative"],
+    )
+    def test_out_of_range_setting_is_config_error(self, tmp_path, capsys, command, flags, data, field):
+        cfg = write_config(tmp_path, dict(SHIFT4, **data))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.json")] + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "context"} and field in err["context"]
+        assert not (tmp_path / "out.json").exists()
+
     def test_bad_json_file(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

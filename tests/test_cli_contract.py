@@ -1,13 +1,15 @@
 """The CLI contract on arbitrary configs: exit 0, 1 or 2, never a traceback.
 
 Exit 2 must come with a machine-readable {"error", "context"} object as the
-last line on stderr. Sizes are bounded (truncation <= 64, grid_size <= 33,
+last line on stderr, and a tolerance that is not finite and nonnegative, or a
+negative random_elements, must give it. Sizes are bounded (truncation <= 64, grid_size <= 33,
 random_elements <= 2) so one example stays cheap.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -80,8 +82,8 @@ def configs(draw):
         "profiles": st.lists(pick(["plane_plus", "plane_minus", "poincare"], ["torus"]), min_size=1, max_size=2),
         "truncation": mostly(st.integers(1, 64), st.sampled_from([0, -3])),
         "grid_size": mostly(st.integers(2, 33), st.sampled_from([1, 0])),
-        "tolerance": st.sampled_from([1e-9, 1e-12, 1e-3]),
-        "random_elements": st.integers(0, 2),
+        "tolerance": pick([1e-9, 1e-12, 1e-3], [math.nan, -1e-9, math.inf]),
+        "random_elements": mostly(st.integers(0, 2), st.just(-3)),
         "seed": mostly(st.integers(0, 20), st.just(-1)),
         "format": st.sampled_from(["json", "csv"]),
     }
@@ -102,6 +104,8 @@ def test_exit_code_and_error_object(tmp_path_factory, command, cfg):
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy on a map evaluated outside its domain
         code = main([command, "--config", str(cfg_path), "--out", str(out_path)])
     assert code in (0, 1, 2)
+    if not 0 <= cfg.get("tolerance", 0) < math.inf or cfg.get("random_elements", 0) < 0:
+        assert code == 2
     if code == 2:
         obj = json.loads(err.getvalue().splitlines()[-1])
         assert set(obj) == {"error", "context"}
