@@ -138,54 +138,49 @@ def translation_power(carrier: Interval, offset: float, k: int) -> PartialBiject
 class PartialAction:
     """The partial action of Z that one partial bijection generates.
 
-    alpha^n maps the chain interval D_-n onto D_n. D_1 and D_-1 are the
+    alpha^n maps D_-n onto D_n, so the chain is read off the powers: D_n is
+    the range of alpha^n and D_-n its domain. D_1 and D_-1 are the
     generator's range and domain, and each later D_k is the one-step map's
     image of D_(k-1) ∩ its domain, inside the carrier. A translation's power
-    is its closed form and D_n is that power's range; any other power applies
-    the step |n| times in a loop. Chain and powers are cached.
+    is its closed form; any other power applies the step |n| times in a
+    loop. The powers are the one cache.
     """
 
     def __init__(self, generator: PartialBijection):
         self.alpha = generator
         self.carrier = generator.carrier
-        # n -> D_n, the range of alpha^n and the domain of alpha^-n
-        self._chain: dict[int, Interval] = {0: self.carrier, 1: generator.range, -1: generator.domain}
         self._powers = {0: identity_on(self.carrier), 1: generator, -1: generator.inverted()}
 
     def interval_n(self, n: int) -> Interval:
-        """D_n; a miss reads a translation's power, or fills the chain out to |n| on both sides.
-
-        alpha^k maps D_-k onto D_k, so the fill keeps the two empty together:
-        rounding can leave a sub-ulp interval on one side only.
-        """
-        if n not in self._chain:
-            if self.alpha.offset is not None:
-                self._chain[n] = self.power(n).range
-            else:
-                for k in range(2, abs(n) + 1):
-                    if k not in self._chain:
-                        fwd, back = self._next(k, 1), self._next(k, -1)
-                        self._chain[k], self._chain[-k] = (EMPTY, EMPTY) if fwd.is_empty or back.is_empty else (fwd, back)
-        return self._chain[n]
+        """D_n: the range of alpha^n and the domain of alpha^-n."""
+        return self.power(n).range
 
     def _next(self, k: int, sign: int) -> Interval:
         """The one-step map's image of D_(sign (k-1)) ∩ its domain, inside the carrier."""
         step = self._powers[sign]
-        mid = self._chain[sign * (k - 1)].intersect(step.domain)
+        mid = self._powers[sign * (k - 1)].range.intersect(step.domain)
         return EMPTY if mid.is_empty else image_monotone(mid, step.forward).intersect(self.carrier)
 
     def power(self, n: int) -> PartialBijection:
-        """alpha^n, from D_-n onto D_n."""
+        """alpha^n, from D_-n onto D_n; a miss reads a translation's closed form, or fills out to |n|.
+
+        The fill stores alpha^k and alpha^-k together and keeps D_k and D_-k
+        empty together: rounding can leave a sub-ulp interval on one side only.
+        """
         if n not in self._powers:
-            step, k = self._powers[1 if n > 0 else -1], abs(n)
+            step = self._powers[1 if n > 0 else -1]
             if step.offset is not None:
-                self._powers[n] = translation_power(self.carrier, step.offset, k)
+                self._powers[n] = translation_power(self.carrier, step.offset, abs(n))
             else:
-                dom, rng = self.interval_n(-n), self.interval_n(n)
-                self._powers[n] = (
-                    empty_bijection(self.carrier) if dom.is_empty or rng.is_empty
-                    else PartialBijection(self.carrier, dom, rng, _iterate(step.forward, k), _iterate(step.inverse, k))
-                )
+                gen = self.alpha
+                for k in range(2, abs(n) + 1):
+                    if k not in self._powers:
+                        rng, dom = self._next(k, 1), self._next(k, -1)
+                        pw = (
+                            empty_bijection(self.carrier) if rng.is_empty or dom.is_empty
+                            else PartialBijection(self.carrier, dom, rng, _iterate(gen.forward, k), _iterate(gen.inverse, k))
+                        )
+                        self._powers[k], self._powers[-k] = pw, pw.inverted()
         return self._powers[n]
 
 
@@ -345,8 +340,8 @@ def make_family(
     """Construct a built-in or custom family at the given step value."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-    if not (hbar >= 0.0) or math.isnan(hbar):
-        raise ValueError(f"step must be nonnegative, got {hbar}")
+    if not 0.0 <= hbar < math.inf:
+        raise ValueError(f"step must be finite and nonnegative, got {hbar}")
     if interval.is_empty or interval.is_degenerate:
         raise ValueError("family carrier must be a nondegenerate interval")
 

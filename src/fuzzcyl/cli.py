@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigError("truncation must be at least 1", {"truncation": cfg.truncation})
         if cfg.seed < 0:
             raise ConfigError("seed must be nonnegative", {"seed": cfg.seed})
+        if cfg.base_point is not None and not math.isfinite(cfg.base_point):
+            raise ConfigError("base_point must be finite", {"base_point": str(cfg.base_point)})
         if not 0 <= cfg.tolerance < math.inf:
             raise ConfigError("tolerance must be finite and nonnegative", {"tolerance": str(cfg.tolerance)})
         if cfg.random_elements < 0:

@@ -6,8 +6,8 @@ twists the right factor through the partial bijection; the involution
 conjugates and transports across. Coefficient supports outside the chain are
 clipped by default; strict mode turns a violation into an error instead.
 
-The algebra is the `PartialAction` of its generator: it caches the chain
-D_n, and its power alpha^n is a memoized view on the chain, from D_-n onto D_n.
+The algebra is the `PartialAction` of its generator: it caches the powers
+alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges.
 """
 
 from __future__ import annotations

@@ -232,29 +232,12 @@ class Interval:
         return Interval(lo, hi, lo_c, hi_c)
 
     def difference(self, other: "Interval") -> list["Interval"]:
-        """Set difference self \\ other as a list of at most two intervals."""
-        if self.is_empty:
-            return []
-        if other.is_empty or self.intersect(other).is_empty:
-            return [self]
-        pieces: list[Interval] = []
-        # piece below other.lo
-        if other.lo != -_INF:
-            lo_piece_hi_closed = not other.lo_closed
-            if self.lo < other.lo or (self.lo == other.lo and self.lo_closed and lo_piece_hi_closed):
-                try:
-                    pieces.append(Interval(self.lo, other.lo, self.lo_closed, lo_piece_hi_closed))
-                except ValueError:
-                    pass
-        # piece above other.hi
-        if other.hi != _INF:
-            hi_piece_lo_closed = not other.hi_closed
-            if self.hi > other.hi or (self.hi == other.hi and self.hi_closed and hi_piece_lo_closed):
-                try:
-                    pieces.append(Interval(other.hi, self.hi, hi_piece_lo_closed, self.hi_closed))
-                except ValueError:
-                    pass
-        return [p for p in pieces if not p.is_empty]
+        """Set difference self \\ other: the nonempty pieces of self below and above other."""
+        if other.is_empty:
+            return [] if self.is_empty else [self]
+        below = Interval(-_INF, other.lo, False, not other.lo_closed) if other.lo != -_INF else EMPTY
+        above = Interval(other.hi, _INF, not other.hi_closed, False) if other.hi != _INF else EMPTY
+        return [p for p in (self.intersect(below), self.intersect(above)) if not p.is_empty]
 
     def shifted(self, offset: float) -> "Interval":
         """Image under x -> x + offset: the floats `image_monotone` gives, without its sampled check."""

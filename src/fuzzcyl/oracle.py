@@ -218,26 +218,12 @@ class FiniteAlgebraElement:
 
 
 def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
-    """Closure of a point under the table and its inverse; cycles close up."""
-    back = []
-    seen = {base}
-    inv = alpha.power(-1)
-    y = base
-    while y in inv.mapping:
-        y = inv.mapping[y]
-        if y in seen:
-            break
-        back.append(y)
-        seen.add(y)
-    fwd = []
-    y = base
-    while y in alpha.mapping:
-        y = alpha.mapping[y]
-        if y in seen:
-            break
-        fwd.append(y)
-        seen.add(y)
-    return list(reversed(back)) + [base] + fwd
+    """Closure of base under the table and its inverse: alpha^n(base) for n = -M..M, each point once.
+
+    Read off the table's cached powers; a cycle closes up, as the sequence is periodic.
+    """
+    pts = (alpha.power(n).mapping.get(base) for n in range(-alpha.M, alpha.M + 1))
+    return list(dict.fromkeys(p for p in pts if p is not None))
 
 
 def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> MatrixRep:

@@ -364,10 +364,8 @@ def two_gen_relations(setup: TwoGenSetup) -> dict:
 
 
 def _approach(fn, anchor: float, direction: float, width: float):
-    ks = np.arange(1, 21)
-    pts = anchor + direction * width * 0.5**ks
-    vals = fn(pts)
-    return float(np.real(vals[-1]))
+    """fn at anchor + direction * width/2^20: the one-sided limit estimate."""
+    return float(np.real(fn(np.array([anchor + direction * width * 0.5**20]))[0]))
 
 
 def boundary_continuity_check(setup: TwoGenSetup) -> dict:

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +60,10 @@ class TestShiftFamily:
 
     def test_roundtrip(self):
         assert shift_gen().roundtrip_residual() <= 1e-10
+
+    def test_infinite_step_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_family("shift", UNIT, math.inf)
 
     def test_zero_step_is_identity(self):
         fam = make_family("shift", UNIT, 0.0)

@@ -31,6 +31,10 @@ def write_config(tmp_path, data, name="cfg.json"):
     return str(p)
 
 
+def _not_strict_json(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_json(tmp_path, argv):
     out = tmp_path / "out.json"
     code = main(argv + ["--out", str(out)])
@@ -256,13 +260,16 @@ class TestConfigHandling:
             ("algebra-check", ["--tolerance", "-1"], {}, "tolerance"),
             ("algebra-check", [], {"tolerance": float("inf")}, "tolerance"),
             ("oracle", [], {"random_elements": -3}, "random_elements"),
+            ("orbit", ["--base-point", "nan"], {}, "base_point"),
+            ("orbit", ["--base-point", "inf"], {}, "base_point"),
         ],
-        ids=["tolerance-nan", "tolerance-negative", "tolerance-inf", "random-elements-negative"],
+        ids=["tolerance-nan", "tolerance-negative", "tolerance-inf", "random-elements-negative",
+             "base-point-nan", "base-point-inf"],
     )
     def test_out_of_range_setting_is_config_error(self, tmp_path, capsys, command, flags, data, field):
         cfg = write_config(tmp_path, dict(SHIFT4, **data))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.json")] + flags) == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(capsys.readouterr().err, parse_constant=_not_strict_json)
         assert set(err) == {"error", "context"} and field in err["context"]
         assert not (tmp_path / "out.json").exists()
 

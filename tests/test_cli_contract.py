@@ -1,9 +1,11 @@
 """The CLI contract on arbitrary configs: exit 0, 1 or 2, never a traceback.
 
-Exit 2 must come with a machine-readable {"error", "context"} object as the
-last line on stderr, and a tolerance that is not finite and nonnegative, or a
-negative random_elements, must give it. Sizes are bounded (truncation <= 64, grid_size <= 33,
-random_elements <= 2) so one example stays cheap.
+Exit 2 must come with a machine-readable {"error", "context"} object, in
+strict JSON (no NaN or Infinity), as the last line on stderr. It must come for
+a tolerance that is not finite and nonnegative, a negative random_elements, a
+base_point that is not finite, and a family hbar that is not finite on every
+command that builds the family. Sizes are bounded (truncation <= 64,
+grid_size <= 33, random_elements <= 2) so one example stays cheap.
 """
 
 import contextlib
@@ -25,10 +27,14 @@ BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", 
                    ("x + 1/0", "x - 1/0"), ("x + h/0", "x - h/0"), ("x + 0^-1", "x - 0^-1")]
 # 1/19, 1/22 and 1/23: steps whose chains once needed exact counting, for every kind
 HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4, 1 / 19, 1 / 22, 1 / 23]
-# zero, negative, tiny, just past the disc map's bound of about 0.828, large, and not a number
-EDGE_HBARS = [0.0, -0.25, 1e-12, 0.83, 0.9, 5.0, None]
+# zero, negative, tiny, just past the disc map's bound of about 0.828, large, infinite, and not a number
+EDGE_HBARS = [0.0, -0.25, 1e-12, 0.83, 0.9, 5.0, math.inf, None]
 BASE_POINTS = [0.125, 0.05, 0.5, 0.3, 0.0, 1.0]
-OUTSIDE_POINTS = [1.5, -0.3, 1e9]
+OUTSIDE_POINTS = [1.5, -0.3, 1e9, math.nan, math.inf]
+
+
+def _not_strict_json(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def mostly(good, bad, odds=9):
@@ -106,6 +112,10 @@ def test_exit_code_and_error_object(tmp_path_factory, command, cfg):
     assert code in (0, 1, 2)
     if not 0 <= cfg.get("tolerance", 0) < math.inf or cfg.get("random_elements", 0) < 0:
         assert code == 2
+    if not math.isfinite(cfg.get("base_point", 0)):
+        assert code == 2
+    if command != "subalgebra" and not math.isfinite(cfg.get("family", {}).get("hbar") or 0):
+        assert code == 2  # every command but subalgebra builds the family
     if code == 2:
-        obj = json.loads(err.getvalue().splitlines()[-1])
+        obj = json.loads(err.getvalue().splitlines()[-1], parse_constant=_not_strict_json)
         assert set(obj) == {"error", "context"}

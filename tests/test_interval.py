@@ -249,3 +249,16 @@ def test_intersect_and_hull_match_freshly_built_intervals(a, b):
             assert got is a
         elif want == b:
             assert got is b
+
+
+@given(any_intervals, any_intervals)
+def test_difference_pieces_cover_exactly_a_minus_b(a, b):
+    pieces = a.difference(b)
+    for piece in pieces:
+        assert piece.subset_of(a) and piece.intersect(b).is_empty
+    ends = sorted({x for iv in (a, b) for x in (iv.lo, iv.hi)})
+    probes = set(ends) | {float(np.nextafter(x, d)) for x in ends for d in (-math.inf, math.inf)}
+    probes |= {(x + y) / 2 for x, y in zip(ends, ends[1:]) if math.isfinite(x + y)}
+    for x in probes:
+        want = a.contains(x, 0.0) and not b.contains(x, 0.0)
+        assert any(piece.contains(x, 0.0) for piece in pieces) == want, x

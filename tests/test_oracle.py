@@ -232,6 +232,33 @@ class TestFiniteRepresentation:
         # cyclic permutation matrix: V^4 = identity
         assert np.array_equal(np.linalg.matrix_power(rep.V, 4), np.eye(4))
 
+    def test_orbit_is_the_component_once_on_every_small_table(self):
+        tables = 0
+        for M in range(1, 5):
+            for images in itertools.product(range(-1, M), repeat=M):
+                mapping = {k: v for k, v in enumerate(images) if v >= 0}
+                if len(set(mapping.values())) != len(mapping):
+                    continue
+                a = FinitePartialBijection(M, mapping)
+                tables += 1
+                links = {k: set() for k in range(M)}
+                for k, v in mapping.items():
+                    links[k].add(v)
+                    links[v].add(k)
+                for base in range(M):
+                    component, todo = {base}, [base]
+                    while todo:
+                        for y in links[todo.pop()] - component:
+                            component.add(y)
+                            todo.append(y)
+                    pts = finite_orbit(a, base)
+                    assert len(pts) == len(set(pts)) and set(pts) == component
+                    rep = oracle_covariant_rep(a, base)
+                    assert rep.orbit.points.tolist() == pts
+                    want = [pts.index(mapping[p]) if p in mapping else -1 for p in pts]
+                    assert rep.orbit.succ.tolist() == want
+        assert tables == 2 + 7 + 34 + 209
+
     def test_representation_is_exact_homomorphism(self):
         rng = np.random.default_rng(41)
         for trial in range(25):
