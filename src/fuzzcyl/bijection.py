@@ -268,16 +268,13 @@ class BijectionFamily:
     hbar: float
     generator: PartialBijection
     raw_forward: Callable[[float, np.ndarray], np.ndarray]
-    raw_inverse: Callable[[float, np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray] | None = None
-    custom_exprs: tuple[str, str] | None = None
+    forward: str = ""  # a custom family's map expressions; "" for a built-in one
+    inverse: str = ""
 
     def at(self, hbar: float) -> "BijectionFamily":
         """Rebuild the family at another step value."""
-        if self.kind == "custom":
-            fwd, inv = self.custom_exprs or ("", "")
-            return make_family(self.kind, self.interval, hbar, forward=fwd, inverse=inv)
-        return make_family(self.kind, self.interval, hbar)
+        return make_family(self.kind, self.interval, hbar, forward=self.forward, inverse=self.inverse)
 
 
 def poincare_validity_bound() -> float:
@@ -345,7 +342,6 @@ def make_family(
     if interval.is_empty or interval.is_degenerate:
         raise ValueError("family carrier must be a nondegenerate interval")
 
-    custom_exprs = None
     if kind == "custom":
         if not forward or not inverse:
             raise ValueError("custom family needs forward and inverse expressions")
@@ -356,13 +352,13 @@ def make_family(
         raw_fwd = lambda h, x: fexpr(x, h)
         raw_inv = lambda h, x: iexpr(x, h)
         beta = None
-        custom_exprs = (forward, inverse)
         # a pair x + c / x - c: the forward gives c at x = 0, the inverse -c
         c = float(fexpr(0.0, hbar)) if is_translation(forward) and is_translation(inverse) else math.nan
         offset = c if math.isfinite(c) and float(iexpr(0.0, hbar)) == -c else None
     else:
         raw_fwd, raw_inv = _RAW_MAPS[kind]
         beta = _BETAS[kind]
+        forward = inverse = ""
         offset = _OFFSET_SIGNS[kind] * hbar if kind in _OFFSET_SIGNS else None
 
     if kind == "poincare":
@@ -388,9 +384,9 @@ def make_family(
         hbar=float(hbar),
         generator=gen,
         raw_forward=raw_fwd,
-        raw_inverse=raw_inv,
         beta=beta,
-        custom_exprs=custom_exprs,
+        forward=forward,
+        inverse=inverse,
     )
 
 
@@ -414,6 +410,6 @@ def family_from_descriptor(desc: dict) -> BijectionFamily:
 
 def family_to_descriptor(fam: BijectionFamily) -> dict:
     desc = {"kind": fam.kind, "interval": str(fam.interval), "hbar": fam.hbar}
-    if fam.custom_exprs:
-        desc["forward"], desc["inverse"] = fam.custom_exprs
+    if fam.forward:
+        desc["forward"], desc["inverse"] = fam.forward, fam.inverse
     return desc

@@ -253,6 +253,8 @@ def _cmd_poisson_limit(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
+    if cfg.family is not None:
+        _family(cfg)  # the rows never read it, but an invalid one is still a bad config
     profiles = cfg.profiles or list(PROFILE_KINDS)
     hbars = cfg.hbars or [0.1]
     jobs = [(p, h) for p in profiles for h in hbars]

@@ -231,7 +231,7 @@ def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> MatrixRep:
     pts = finite_orbit(alpha, base)
     idx = {p: i for i, p in enumerate(pts)}
     succ = np.array([idx.get(alpha.mapping.get(p), -1) for p in pts], dtype=int)
-    return MatrixRep(OrbitSpec(alpha, np.array(pts, dtype=int), (base,), idx[base], succ))
+    return MatrixRep(OrbitSpec(np.array(pts, dtype=int), (base,), idx[base], succ))
 
 
 def oracle_represent(x: FiniteAlgebraElement, rep: MatrixRep) -> np.ndarray:

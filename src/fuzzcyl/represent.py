@@ -42,7 +42,6 @@ class OrbitSpec:
     the base point.
     """
 
-    alpha: PartialBijection
     points: np.ndarray
     base_points: tuple[float, ...]
     base_index: int
@@ -110,7 +109,7 @@ def build_orbit(alpha: PartialBijection, base_point: float, truncation: int = 64
             minus_truncated=alpha.range.contains(float(points[0]), DEFAULT_TOL),
             plus_truncated=alpha.domain.contains(float(points[run - 1]), DEFAULT_TOL),
         ))
-    return OrbitSpec(alpha, points, (b,), kb, succ, chains)
+    return OrbitSpec(points, (b,), kb, succ, chains)
 
 
 def _centered_window(len_b: int, len_f: int, truncation: int) -> tuple[int, int]:

@@ -161,14 +161,11 @@ class PoissonCoefficient:
         return PoissonCoefficient(beta, f"{family.kind} centered difference")
 
 
-def _beta_function(beta, carrier: Interval) -> SupportedFunction:
-    fn = beta.beta if isinstance(beta, PoissonCoefficient) else beta
-    return SupportedFunction(carrier, lambda xs: np.asarray(fn(xs), dtype=complex), carrier)
+def _beta_function(beta: PoissonCoefficient, carrier: Interval) -> SupportedFunction:
+    return SupportedFunction(carrier, lambda xs: np.asarray(beta.beta(xs), dtype=complex), carrier)
 
 
-def poisson_bracket(
-    f: CylinderFunction, g: CylinderFunction, beta: PoissonCoefficient | Callable
-) -> CylinderFunction:
+def poisson_bracket(f: CylinderFunction, g: CylinderFunction, beta: PoissonCoefficient) -> CylinderFunction:
     """beta * (df/dx dg/dphi - df/dphi dg/dx), mode by mode."""
     if f.carrier != g.carrier:
         raise ValueError("bracket arguments live on different carriers")

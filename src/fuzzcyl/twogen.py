@@ -5,12 +5,14 @@ The step map alpha is recovered from C by solving, point by point,
 
     alpha(u) + (h/2) C(alpha(u)) = u - (h/2) C(u)
 
-and the generator A = sqrt(w) U lives in the crossed product over a
-reparametrized interval, with weight w = chart + (h/2) C(chart). The
-commutator and anticommutator then split into three regions (image-only,
-overlap, domain-only) with closed piecewise forms, which this module checks
-against the direct crossed-product computation. Boundary behaviour at the
-region seams decides whether the subalgebra has a classical limit.
+on the range I of a chart J -> I. Pulled back through the chart it acts on
+J, and the generator A = sqrt(w) U lives in the crossed product over J, with
+weight w = chart + (h/2) C(chart); `assemble` derives all of this from the
+chart, the profile and h alone. The commutator and anticommutator then split
+into three regions (image-only, overlap, domain-only) with closed piecewise
+forms, which this module checks against the direct crossed-product
+computation. Boundary behaviour at the region seams decides whether the
+subalgebra has a classical limit.
 """
 
 from __future__ import annotations
@@ -49,32 +51,6 @@ class CommutatorProfile:
             raise ValueError(f"unknown profile {name!r}; builtins are {PROFILE_KINDS}")
         beta = _BETAS[name]
         return CommutatorProfile(lambda u: -beta(u), name)
-
-
-@dataclass(frozen=True)
-class Reparametrization:
-    """A chart J -> I together with the generator weight on J."""
-
-    chart: PartialBijection
-    weight: SupportedFunction
-
-
-def make_reparametrization(chart: PartialBijection, profile: CommutatorProfile, hbar: float) -> Reparametrization:
-    J = chart.domain
-    if J.is_empty:
-        raise ValueError("chart has empty domain")
-    fwd = chart.forward
-
-    def weight_raw(us):
-        vals = fwd(np.asarray(us, dtype=float))
-        return vals + 0.5 * hbar * np.asarray(profile.C(vals), dtype=float)
-
-    weight = SupportedFunction(support=J, raw=weight_raw, carrier=J)
-    return Reparametrization(chart, weight)
-
-
-def identity_reparametrization(interval: Interval, profile: CommutatorProfile, hbar: float) -> Reparametrization:
-    return make_reparametrization(identity_on(interval), profile, hbar)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -126,8 +102,6 @@ def solve_action_from_profile(profile: CommutatorProfile, interval: Interval, hb
     if hbar <= 0:
         raise ValueError("step must be positive")
     if profile.label in PROFILE_KINDS:
-        if profile.label == "poincare" and hbar >= poincare_validity_bound():
-            raise ValueError(f"step {hbar} at or beyond the validity bound {poincare_validity_bound():.6f}")
         action = make_family(profile.label, interval, hbar).generator
     else:
         if not (math.isfinite(interval.lo) and math.isfinite(interval.hi)):
@@ -201,13 +175,15 @@ def conjugated_action(chart: PartialBijection, action: PartialBijection) -> Part
 
 @dataclass(frozen=True)
 class TwoGenSetup:
-    """The crossed product over J, the generator A = sqrt(weight) U, and the
-    step-0 coefficients of AA*, A*A, [A, A*] and (AA* + A*A)/2, each the zero
-    function where its product has no step-0 term."""
+    """The crossed product over J = chart.domain, the generator A = sqrt(weight) U
+    with the chart and weight it was built from, the step map solved on the
+    chart's range, and the step-0 coefficients of AA*, A*A, [A, A*] and
+    (AA* + A*A)/2, each the zero function where its product has no step-0 term."""
 
     algebra: CrossedProductAlgebra
     generator: CrossedProductElement
-    rep: Reparametrization
+    chart: PartialBijection
+    weight: SupportedFunction
     profile: CommutatorProfile
     action: PartialBijection
     hbar: float
@@ -226,18 +202,21 @@ class TwoGenSetup:
         return self.weight_min >= -WEIGHT_TOL
 
 
-def assemble(
-    rep: Reparametrization,
-    profile: CommutatorProfile,
-    action: PartialBijection,
-    hbar: float,
-    grid_size: int = 101,
-) -> TwoGenSetup:
-    """Build the crossed product over J, the generator sqrt(weight) U and its relation functions."""
-    if not rep.chart.range.close_to(action.carrier):
-        raise ValueError("chart range and action carrier disagree")
-    alg = CrossedProductAlgebra(conjugated_action(rep.chart, action))
-    weight = rep.weight
+def assemble(chart: PartialBijection, profile: CommutatorProfile, hbar: float, grid_size: int = 101) -> TwoGenSetup:
+    """Solve the step map from the profile on the chart's range, pull it back to
+    J = chart.domain, and build the generator sqrt(weight) U with weight
+    chart + (h/2) C(chart) on J, together with its relation functions."""
+    J = chart.domain
+    if J.is_empty:
+        raise ValueError("chart has empty domain")
+    action = solve_action_from_profile(profile, chart.range, hbar)
+    alg = CrossedProductAlgebra(conjugated_action(chart, action))
+
+    def weight_raw(us):
+        vals = chart.forward(np.asarray(us, dtype=float))
+        return vals + 0.5 * hbar * np.asarray(profile.C(vals), dtype=float)
+
+    weight = SupportedFunction(support=J, raw=weight_raw, carrier=J)
 
     def root_raw(us):
         return np.sqrt(np.clip(np.real(weight(np.asarray(us, dtype=float))), 0.0, None)).astype(complex)
@@ -254,7 +233,7 @@ def assemble(
     k = int(np.argmin(wv)) if js.size else 0
     wmin = float(wv[k]) if js.size else 0.0
     wat = float(js[k]) if js.size else math.nan
-    return TwoGenSetup(alg, A, rep, profile, action, hbar, grid_size, wmin, wat, *step0)
+    return TwoGenSetup(alg, A, chart, weight, profile, action, hbar, grid_size, wmin, wat, *step0)
 
 
 def _region_pieces(alg: CrossedProductAlgebra):
@@ -268,7 +247,7 @@ def _region_pieces(alg: CrossedProductAlgebra):
 
 
 def _closed_forms(setup: TwoGenSetup, region: str, us: np.ndarray):
-    rho = setup.rep.chart.forward(us)
+    rho = setup.chart.forward(us)
     c = np.asarray(setup.profile.C(rho), dtype=float)
     h = setup.hbar
     if region == "only_plus":
@@ -382,7 +361,7 @@ def boundary_continuity_check(setup: TwoGenSetup) -> dict:
     J = alg.carrier
     step = alg.alpha
     functions = {"commutator": setup.commutator, "anticommutator": setup.anticommutator}
-    weight = setup.rep.weight
+    weight = setup.weight
 
     cases = {"only_plus": {"applies": False}, "only_minus": {"applies": False}}
     for name, piece in _region_pieces(alg):
@@ -511,6 +490,4 @@ def standard_setup(name: str, hbar: float, a: float | None = None, grid_size: in
         if a is None:
             a = -0.5 * hbar
         interval = Interval.at_least(a)
-    action = solve_action_from_profile(profile, interval, hbar)
-    rep = identity_reparametrization(interval, profile, hbar)
-    return assemble(rep, profile, action, hbar, grid_size)
+    return assemble(identity_on(interval), profile, hbar, grid_size)

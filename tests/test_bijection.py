@@ -94,7 +94,7 @@ class TestPlaneAndDiscFamilies:
     def test_poincare_roundtrip_drift_at_small_step(self, h):
         fam = make_family("poincare", UNIT, h)
         xs = UNIT.grid(1001)
-        assert np.max(np.abs(fam.raw_forward(h, fam.raw_inverse(h, xs)) - xs)) <= 1e-15
+        assert np.max(np.abs(fam.generator.forward(fam.generator.inverse(xs)) - xs)) <= 1e-15
 
     def test_poincare_domain_is_left_trimmed(self):
         g = make_family("poincare", UNIT, 0.2).generator

@@ -173,6 +173,17 @@ class TestSubalgebra:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["profiles"] == ["torus"]
 
+    @pytest.mark.parametrize("family", [
+        {"kind": "shift", "interval": "[0,1]", "hbar": float("inf")},
+        {"kind": "torus", "interval": "[0,1]", "hbar": 0.1},
+        {"kind": "shift", "interval": "[1,0", "hbar": 0.1},
+    ], ids=["hbar-inf", "kind-torus", "bad-interval"])
+    def test_invalid_family_is_config_error(self, tmp_path, capsys, family):
+        cfg = write_config(tmp_path, {"family": family})
+        assert main(["subalgebra", "--config", cfg, "--hbar", "0.1"]) == 2
+        err = json.loads(capsys.readouterr().err, parse_constant=_not_strict_json)
+        assert err["error"] == "bad family descriptor"
+
 
 class TestOracle:
     def test_commensurate_grid_passes(self, tmp_path):

@@ -3,8 +3,7 @@
 Exit 2 must come with a machine-readable {"error", "context"} object, in
 strict JSON (no NaN or Infinity), as the last line on stderr. It must come for
 a tolerance that is not finite and nonnegative, a negative random_elements, a
-base_point that is not finite, and a family hbar that is not finite on every
-command that builds the family. Sizes are bounded (truncation <= 64,
+base_point that is not finite, and a family hbar that is not finite. Sizes are bounded (truncation <= 64,
 grid_size <= 33, random_elements <= 2) so one example stays cheap.
 """
 
@@ -114,8 +113,8 @@ def test_exit_code_and_error_object(tmp_path_factory, command, cfg):
         assert code == 2
     if not math.isfinite(cfg.get("base_point", 0)):
         assert code == 2
-    if command != "subalgebra" and not math.isfinite(cfg.get("family", {}).get("hbar") or 0):
-        assert code == 2  # every command but subalgebra builds the family
+    if not math.isfinite(cfg.get("family", {}).get("hbar") or 0):
+        assert code == 2
     if code == 2:
         obj = json.loads(err.getvalue().splitlines()[-1], parse_constant=_not_strict_json)
         assert set(obj) == {"error", "context"}

@@ -70,6 +70,16 @@ class TestElementConstruction:
         x = cyl.element({7: polynomial([1.0], UNIT)})
         assert x.is_zero
 
+    def test_scalar_multiples(self):
+        cyl = quarter_cylinder()
+        x = random_cp_element(cyl, np.random.default_rng(43))
+        assert not x.is_zero
+        assert cyl.distance(2.0 * x, x.scale(2.0)) == 0.0
+        assert cyl.distance((1j * x).scale(-1j), x) == 0.0
+        assert x.__rmul__(x) is NotImplemented
+        assert x.scale(0).is_zero and (0 * x).is_zero
+        assert cyl.distance(x - x, cyl.zero()) == 0.0
+
 
 class TestProducts:
     def test_step_times_adjoint_is_projection(self):

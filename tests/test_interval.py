@@ -150,6 +150,16 @@ def test_grid_and_interior_grid():
     assert len(EMPTY.grid(7)) == 0
 
 
+def test_grids_of_carriers_outside_the_window():
+    # a carrier beyond +-8 gets a 16-wide window from its finite end
+    assert np.array_equal(Interval.at_least(10.0).grid(5), np.linspace(10.0, 26.0, 5))
+    assert np.array_equal(Interval.at_most(-10.0).grid(5), np.linspace(-26.0, -10.0, 5))
+    # interior_grid falls back to grid where there is no interior to pull in to
+    assert np.array_equal(Interval.at_least(10.0).interior_grid(5), np.linspace(10.0, 26.0, 5))
+    assert np.array_equal(Interval.point(0.5).interior_grid(7), np.array([0.5]))
+    assert EMPTY.interior_grid(7).size == 0
+
+
 finite_intervals = st.builds(
     lambda a, b, lc, hc: Interval(min(a, b), max(a, b), lc, hc)
     if min(a, b) != max(a, b)

@@ -161,6 +161,18 @@ class TestFiniteAlgebra:
                 rebuilt = rebuilt + alg.element({0: vec}) * alg.unit_of(triple_for_power(m))
             assert rebuilt.distance(x) <= EXACT
 
+    def test_difference_and_scaling(self):
+        rng = np.random.default_rng(37)
+        alg = FiniteCrossedProduct(random_fpb(rng, 6, size=5))
+        x, y = (random_element(alg, rng) for _ in range(2))
+        assert not x.is_zero
+        assert (x - x).is_zero
+        assert (x - y).distance(x + y.scale(-1.0)) == 0.0
+        assert (x - y + y).distance(x) <= EXACT
+        assert all(np.array_equal(v, 2.5j * x.terms[k]) for k, v in x.scale(2.5j).terms.items())
+        assert set(x.scale(2.5j).terms) == set(x.terms)
+        assert x.scale(0).is_zero
+
     def test_embedding_is_injective_homomorphism(self):
         rng = np.random.default_rng(29)
         alg = FiniteCrossedProduct(random_fpb(rng, 6, size=4))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzcyl.bijection import PartialBijection, poincare_validity_bound
+from fuzzcyl.bijection import PartialBijection, identity_on, poincare_validity_bound
 from fuzzcyl.functions import polynomial, pullback
 from fuzzcyl.interval import Interval
 from fuzzcyl.twogen import (
@@ -12,8 +12,6 @@ from fuzzcyl.twogen import (
     assemble,
     boundary_continuity_check,
     defining_equation_residual,
-    identity_reparametrization,
-    make_reparametrization,
     poincare_constants,
     solve_action_from_profile,
     standard_setup,
@@ -127,15 +125,13 @@ class TestRelations:
         h = 0.1
         prof = CommutatorProfile.builtin("plane_minus")
         I = Interval.at_least(1.0)
-        act = solve_action_from_profile(prof, I, h)
         J = Interval.at_least(0.0)
         chart = PartialBijection(
             Interval.at_least(0.0), J, I,
             lambda u: np.asarray(u, dtype=float) + 1.0,
             lambda x: np.asarray(x, dtype=float) - 1.0,
         )
-        rep = make_reparametrization(chart, prof, h)
-        report = two_gen_relations(assemble(rep, prof, act, h))
+        report = two_gen_relations(assemble(chart, prof, h))
         assert report["pass"], report
         assert report["valid_generator"]
         names = {r["region"] for r in report["regions"]}
@@ -148,10 +144,23 @@ class TestRelations:
         # the solved inverse is evaluated at a range end that bisection found only to
         # its tolerance, so the root there lies just past the bracket
         prof, I = CommutatorProfile(CUSTOM_PROFILES[label], label), Interval.closed(0.0, 1.0)
-        act = solve_action_from_profile(prof, I, h)
-        report = two_gen_relations(assemble(identity_reparametrization(I, prof, h), prof, act, h))
+        report = two_gen_relations(assemble(identity_on(I), prof, h))
         assert report["relations_pass"], report
         assert report["max_residual"] <= 1e-11
+
+    def test_custom_profile_below_the_weight_root_fails_like_plane_minus(self):
+        # w = u + (h/2)(1 + u/2) is -h^2/8 at u = -h/2: on [-h/2, 2] the sqrt clip
+        # breaks the relations, on [0, 2] the weight stays positive and they close
+        h = 0.1
+        prof = CommutatorProfile(lambda u: 1.0 + 0.5 * np.asarray(u, dtype=float))
+        below = two_gen_relations(assemble(identity_on(Interval.closed(-h / 2, 2.0)), prof, h))
+        assert below["weight_min"] == pytest.approx(-h * h / 8, abs=1e-12)
+        assert below["weight_argmin"] == pytest.approx(-h / 2, abs=1e-12)
+        assert not below["valid_generator"]
+        assert not below["relations_pass"]
+        above = two_gen_relations(assemble(identity_on(Interval.closed(0.0, 2.0)), prof, h))
+        assert above["pass"], above
+        assert above["max_residual"] <= 1e-11
 
     def test_commutator_with_diagonal_element(self):
         h = 0.1
@@ -240,14 +249,12 @@ class TestBoundary:
         h = 0.1
         prof = CommutatorProfile.builtin("plane_minus")
         I = Interval.at_least(1.0)
-        act = solve_action_from_profile(prof, I, h)
         chart = PartialBijection(
             Interval.at_least(0.0), Interval.at_least(0.0), I,
             lambda u: np.asarray(u, dtype=float) + 1.0,
             lambda x: np.asarray(x, dtype=float) - 1.0,
         )
-        rep = make_reparametrization(chart, prof, h)
-        report = boundary_continuity_check(assemble(rep, prof, act, h))
+        report = boundary_continuity_check(assemble(chart, prof, h))
         assert report["valid_generator"]
         case = report["cases"]["only_minus"]
         assert case["applies"]
