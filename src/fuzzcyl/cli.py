@@ -261,7 +261,8 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
     rows = []
     for name, h in jobs:
         try:
-            setup = standard_setup(name, h, grid_size=cfg.grid_size)
+            constants = poincare_constants(h) if name == "poincare" else None
+            setup = standard_setup(name, h, a=constants.edge if constants else None, grid_size=cfg.grid_size)
         except (ValueError, RuntimeError) as e:
             # RuntimeError: a self-check of the setup fails at this step, e.g. the
             # disc constants below h ~ 1e-8, where rounding exceeds the h^2 they are checked to
@@ -269,8 +270,8 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
                               {"profile": name, "hbar": h, "detail": str(e)}) from None
         rel, bnd = two_gen_relations(setup), boundary_continuity_check(setup)
         row = {"profile": name, "hbar": h, "relations": rel, "boundary": bnd}
-        if name == "poincare":
-            row["constants"] = dataclasses.asdict(poincare_constants(h))
+        if constants:
+            row["constants"] = dataclasses.asdict(constants)
         expect_obstruction = name == "plane_minus"
         row["expect_obstruction"] = expect_obstruction
         if expect_obstruction:

@@ -173,8 +173,6 @@ class CrossedProductElement:
         return CrossedProductElement(self.algebra, {n: f.scale(c) for n, f in self.terms.items()})
 
     def __rmul__(self, c: complex) -> "CrossedProductElement":
-        if isinstance(c, CrossedProductElement):
-            return NotImplemented
         return self.scale(c)
 
     def adjoint(self) -> "CrossedProductElement":

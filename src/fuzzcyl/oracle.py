@@ -6,8 +6,8 @@ arithmetic, so results can be compared at machine precision against the
 interval implementation sampled on compatible grids.
 
 Each table caches its own powers; level sets, normal forms, products and
-adjoints all read that one cache. A table's orbit is a `MatrixRep`, the matrix
-model of the interval orbits.
+adjoints all read that one cache. A table's orbit, listed in orbit order, is a
+`MatrixRep`, the matrix model of the interval orbits.
 """
 
 from __future__ import annotations
@@ -227,18 +227,17 @@ def finite_orbit(alpha: FinitePartialBijection, base: int) -> list[int]:
 
 
 def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> MatrixRep:
-    """The orbit of base as a matrix model; succ links each point to its image's orbit index."""
+    """The orbit of base as a matrix model, closed when the table maps its last point to its first."""
     pts = finite_orbit(alpha, base)
-    idx = {p: i for i, p in enumerate(pts)}
-    succ = np.array([idx.get(alpha.mapping.get(p), -1) for p in pts], dtype=int)
-    return MatrixRep(OrbitSpec(np.array(pts, dtype=int), (base,), idx[base], succ))
+    closed = alpha.mapping.get(pts[-1]) == pts[0]
+    return MatrixRep(OrbitSpec(np.array(pts, dtype=int), (base,), pts.index(base), closed))
 
 
 def oracle_represent(x: FiniteAlgebraElement, rep: MatrixRep) -> np.ndarray:
-    """Scatter each coefficient along its step's index map, as represent does on interval orbits."""
+    """Scatter each coefficient along its step's links, as represent does on interval orbits."""
     out = np.zeros((rep.dim, rep.dim), complex)
     for n, vec in x.terms.items():
-        add_step_term(out, rep.index_map(n), n, vec[rep.orbit.points])
+        add_step_term(out, rep.links(n), vec[rep.orbit.points])
     return out
 
 
@@ -268,10 +267,11 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
     """Discretize a cylinder onto an orbit grid and cross-check both arithmetics.
 
     The grid is the orbit window through base_point, and the finite table is
-    its successor map, read by position along the walk. A window whose
-    spacing is below tol, or whose orbit goes on past either end (half-line
-    shifts, the disc map accumulating at its fixed point, a window cut short
-    by its truncation), raises GridIncompatible. On a closed grid chain
+    the window's links of V: each point to the next in orbit order. A window
+    whose spacing is below tol, or whose orbit goes on past either end
+    (half-line shifts, the disc map accumulating at its fixed point, a walk
+    that stalls there, a window cut short by its truncation), raises
+    GridIncompatible. On a closed grid chain
     membership is compared index by index, and every pairwise product and
     adjoint of the supplied elements is computed along both routes.
 
@@ -286,7 +286,8 @@ def sample_interval_to_finite(algebra, base_point, elements=(), tol: float = 1e-
             raise GridIncompatible(f"preimage of grid point {points[chain.indices[0]]:.6g} is not on the grid")
         if chain.plus_truncated:
             raise GridIncompatible(f"image of grid point {points[chain.indices[-1]]:.6g} is not on the grid")
-    mapping = {j: int(s) for j, s in enumerate(orbit.succ) if s >= 0}
+    images, sources = MatrixRep(orbit).links(1)
+    mapping = dict(zip(sources.tolist(), images.tolist()))
     finite_algebra = FiniteCrossedProduct(FinitePartialBijection(M, mapping))
 
     mismatches = []

@@ -89,6 +89,15 @@ class TestAlgebraCheck:
         assert all(r["pass"] for r in d["element_pairs"])
         assert any(r["excluded_indices"] for r in d["element_pairs"])
 
+    def test_walk_that_stalls_at_a_fixed_point_passes(self, tmp_path):
+        # x^2 from 0.5 underflows to 0.0, which the map fixes: one chain, cut at both ends
+        square = {"kind": "custom", "interval": "[0, 1]", "hbar": 0.1, "forward": "x^2", "inverse": "sqrt(x)"}
+        cfg = write_config(tmp_path, {"family": square, "base_point": 0.5, "truncation": 64})
+        code, d = run_json(tmp_path, ["algebra-check", "--config", cfg])
+        assert code == 0 and d["covariance"]["pass"]
+        code, d = run_json(tmp_path, ["orbit", "--config", cfg])
+        assert d["chains"] == [{"indices": list(range(64)), "minus_truncated": True, "plus_truncated": True}]
+
     def test_seed_gives_byte_identical_output(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, random_elements=3))
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"

@@ -268,7 +268,10 @@ class TestFiniteRepresentation:
                     rep = oracle_covariant_rep(a, base)
                     assert rep.orbit.points.tolist() == pts
                     want = [pts.index(mapping[p]) if p in mapping else -1 for p in pts]
-                    assert rep.orbit.succ.tolist() == want
+                    dst, src = rep.links(1)
+                    got = np.full(len(pts), -1)
+                    got[src] = dst
+                    assert got.tolist() == want
         assert tables == 2 + 7 + 34 + 209
 
     def test_representation_is_exact_homomorphism(self):
