@@ -400,7 +400,7 @@ def family_from_descriptor(desc: dict) -> BijectionFamily:
         hbar = float(desc["hbar"])
     except KeyError as e:
         raise ValueError(f"family descriptor missing field {e.args[0]!r}") from None
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:
         raise ValueError(f"malformed family descriptor field: {e}") from None
     forward, inverse = desc.get("forward", ""), desc.get("inverse", "")
     if not (isinstance(forward, str) and isinstance(inverse, str)):

@@ -65,8 +65,6 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
         known = set(RunConfig.__dataclass_fields__)
         extra = sorted(set(raw) - known)
         if extra:
@@ -94,7 +92,7 @@ class RunConfig:
             if raw.get("out") is not None:
                 cfg.out = str(raw["out"])
             cfg.format = str(raw.get("format", "json"))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError("malformed configuration value", {"detail": str(e)}) from None
@@ -147,7 +145,7 @@ def _algebra(cfg: RunConfig) -> CrossedProductAlgebra:
 def _coefficients(desc: dict, carrier) -> dict:
     try:
         return {int(n): from_descriptor(d, carrier) for n, d in desc["terms"].items()}
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError("bad element descriptor", {"detail": str(e)}) from None
 
 
@@ -531,8 +529,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
         except OSError as e:
             raise ConfigError("cannot read configuration file", {"detail": str(e)})
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # a decode error, bytes that are not UTF-8, or arrays nested past the recursion limit
             raise ConfigError("configuration file is not valid JSON", {"detail": str(e)})
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration must be a JSON object")
     raw["command"] = args.command
     for key in ("out", "format", "seed", "grid_size", "base_point", "truncation", "tolerance"):
         v = getattr(args, key)

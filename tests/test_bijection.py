@@ -162,8 +162,10 @@ class TestCustomFamily:
 
     def test_deep_expressions_rejected(self):
         # a left-nested chain, nested parentheses and stacked signs: each would
-        # exhaust the recursion of parsing or evaluation
-        for text in ("x" + "+0" * 2000 + "+h", "(" * 300 + "x+h" + ")" * 300, "-" * 3000 + "x"):
+        # exhaust the recursion of parsing or evaluation; the longest is never parsed,
+        # and the last two are one level past the bound
+        for text in ("x" + "+0" * 2000 + "+h", "(" * 300 + "x+h" + ")" * 300, "-" * 3000 + "x", "x" + "+0" * 100_000,
+                     "x" + "+0" * 99 + "+h", "-" * 100 + "x"):
             with pytest.raises(ExpressionError):
                 compile_expression(text)
         for text in ("x" + "+0" * 98 + "+h", "(" * 99 + "x+h" + ")" * 99, "-" * 98 + "x"):

@@ -299,6 +299,24 @@ class TestConfigHandling:
         assert main(["rep", "--config", str(p)]) == 2
         assert "JSON" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("body", [
+        b"[1, 2]", b'"x"', b"null", b'{"family": "\xff"}', b"[" * 100_000 + b"]" * 100_000,
+        b'{"seed": 1e400}', b'{"truncation": Infinity}', b'{"grid_size": 1e400}', b'{"random_elements": Infinity}',
+        # integers past the float range, where a float is read
+        b'{"family": {"kind": "shift", "interval": "[0,1]", "hbar": 1%s}, "base_point": 0.5}' % (b"0" * 400),
+        b'{"family": {"kind": "shift", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.125,'
+        b' "elements": [{"terms": {"0": {"type": "const", "value": 1%s}}}]}' % (b"0" * 400),
+        b'{"family": {"kind": "shift", "interval": "[0,1]", "hbar": 0.25}, "base_point": 0.125,'
+        b' "elements": [{"terms": {"0": {"type": "poly", "coeffs": [1%s]}}}]}' % (b"0" * 400),
+    ], ids=["list", "string", "null", "not-utf8", "nested-arrays", "seed-1e400", "truncation-inf", "grid-size-1e400",
+            "random-elements-inf", "hbar-huge-int", "const-huge-int", "poly-huge-int"])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, body):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(body)
+        assert main(["rep", "--config", str(p)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0], parse_constant=_not_strict_json)) == {"error", "context"}
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, base_point=0.125))
         code, d = run_json(tmp_path, ["orbit", "--config", cfg, "--base-point", "0.375"])

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzcyl.cli import COMMANDS, main
@@ -23,7 +24,8 @@ BAD_INTERVALS = ["[1,0]", "(0,0)", "[0,1", "interval", "", 5, None]
 EXPRESSIONS = [("x + h", "x - h"), ("x - h", "x + h"), ("2*x + h", "(x - h)/2"), ("x^2", "sqrt(x)")]
 BAD_EXPRESSIONS = [("x - h", "sqrt(x)"), ("x + h", "x + h"), ("x +", "x"), ("", ""), (5, ["x"]),
                    ("x" + "+0" * 2000 + "+h", "x - h"),
-                   ("x + 1/0", "x - 1/0"), ("x + h/0", "x - h/0"), ("x + 0^-1", "x - 0^-1")]
+                   ("x + 1/0", "x - 1/0"), ("x + h/0", "x - h/0"), ("x + 0^-1", "x - 0^-1"),
+                   ("x^" + "9" * 400, "x")]
 # 1/19, 1/22 and 1/23: steps whose chains once needed exact counting, for every kind
 HBARS = [0.25, 0.1, 1 / 3, 0.5, 1 / 64, 1e-4, 1 / 19, 1 / 22, 1 / 23]
 # zero, negative, tiny, just past the disc map's bound of about 0.828, large, infinite, and not a number
@@ -118,3 +120,15 @@ def test_exit_code_and_error_object(tmp_path_factory, command, cfg):
     if code == 2:
         obj = json.loads(err.getvalue().splitlines()[-1], parse_constant=_not_strict_json)
         assert set(obj) == {"error", "context"}
+
+
+@pytest.mark.parametrize("forward,inverse", BAD_EXPRESSIONS, ids=[f"pair{i}" for i in range(len(BAD_EXPRESSIONS))])
+def test_bad_expression_pair_exits_two(tmp_path, forward, inverse):
+    family = {"kind": "custom", "interval": "[0,1]", "hbar": 0.1, "forward": forward, "inverse": inverse}
+    cfg_path = tmp_path / "pair.cfg.json"
+    cfg_path.write_text(json.dumps({"family": family, "base_point": 0.5}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["orbit", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    obj = json.loads(err.getvalue().splitlines()[-1], parse_constant=_not_strict_json)
+    assert set(obj) == {"error", "context"}
