@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bijection import BijectionFamily, family_from_descriptor
-from .crossed import CrossedProductAlgebra, u_relations_check
+from .crossed import MAX_STEP, CrossedProductAlgebra, u_relations_check
 from .functions import from_descriptor, polynomial
 from .interval import DEFAULT_TOL
 from .oracle import GridIncompatible, sample_interval_to_finite
@@ -142,15 +142,20 @@ def _algebra(cfg: RunConfig) -> CrossedProductAlgebra:
     return CrossedProductAlgebra(_family(cfg).generator)
 
 
-def _coefficients(desc: dict, carrier) -> dict:
+def _coefficients(desc: dict, carrier, build):
+    """build({step: coefficient}) for an element descriptor; a bad one, or a step
+    past MAX_STEP or past where the chain can be computed, is a ConfigError."""
     try:
-        return {int(n): from_descriptor(d, carrier) for n, d in desc["terms"].items()}
+        terms = {int(n): from_descriptor(d, carrier) for n, d in desc["terms"].items()}
+        if any(abs(n) > MAX_STEP for n in terms):
+            raise ValueError(f"step keys must be at most {MAX_STEP} in absolute value")
+        return build(terms)
     except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError("bad element descriptor", {"detail": str(e)}) from None
 
 
 def _config_elements(cfg: RunConfig, alg: CrossedProductAlgebra) -> list:
-    return [alg.element(_coefficients(el, alg.carrier)) for el in cfg.elements]
+    return [_coefficients(el, alg.carrier, alg.element) for el in cfg.elements]
 
 
 def _random_elements(alg: CrossedProductAlgebra, rng, count: int) -> list:
@@ -238,7 +243,7 @@ def _cmd_poisson_limit(cfg: RunConfig) -> tuple[dict, bool]:
             {"got": len(cfg.elements)},
         )
     pairs = [
-        (_coefficients(cfg.elements[i], fam.interval), _coefficients(cfg.elements[i + 1], fam.interval))
+        (_coefficients(cfg.elements[i], fam.interval, dict), _coefficients(cfg.elements[i + 1], fam.interval, dict))
         for i in range(0, len(cfg.elements), 2)
     ]
     try:

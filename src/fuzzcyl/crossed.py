@@ -13,6 +13,7 @@ alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -26,11 +27,10 @@ from .functions import (
     partial_identity,
     polynomial,
     pullback,
-    pullback_support,
-    twisted_sum,
 )
 
 RESIDUAL_TOL = 1e-9  # largest coefficient residual the relation checks below accept by default
+MAX_STEP = 10_000  # longest chain walk of nilpotency_degree, and largest |n| of a configured term
 
 
 class CrossedProductAlgebra(PartialAction):
@@ -74,7 +74,7 @@ class CrossedProductAlgebra(PartialAction):
         return self.element({-1: self.p(-1)})
 
     def nilpotency_degree(self) -> int | None:
-        """Smallest n <= 10,000 with an empty chain interval D_n, or None if the chain survives.
+        """Smallest n <= MAX_STEP with an empty chain interval D_n, or None if the chain survives.
 
         Each D_n comes from D_(n-1) alone, so a D_n equal to D_(n-1) repeats
         for ever: the walk stops there with None. A translation's D_n on an
@@ -83,7 +83,7 @@ class CrossedProductAlgebra(PartialAction):
         if self.alpha.offset is not None and not self.carrier.is_bounded:
             return None
         prev = self.carrier
-        for n in range(1, 10_001):
+        for n in range(1, MAX_STEP + 1):
             d = self.interval_n(n)
             if d.is_empty:
                 return n
@@ -97,20 +97,23 @@ class CrossedProductAlgebra(PartialAction):
     def multiply(self, x: "CrossedProductElement", y: "CrossedProductElement", mode: str = "clip") -> "CrossedProductElement":
         self._own(x)
         self._own(y)
-        # (f_n d_n)(g_m d_m) = f_n (g_m pulled back along alpha^n) d_{n+m}
+        # (f_n d_n)(g_m d_m) = f_n (g_m pulled back along alpha^n) d_{n+m}. A step of
+        # two or more terms is one sum node over them, in n-then-m order; a lone term
+        # is the step itself, a product whose support does not mask it below a derivative
         steps: dict[int, list] = {}
         for n, fn in sorted(x.terms.items()):
             pbn = self.power(n)
             for m, gm in sorted(y.terms.items()):
                 if self.interval_n(n + m).is_empty:
                     continue
-                gs = gm.support.intersect(pbn.domain)
-                if gs.is_empty:
-                    continue
-                ts = fn.support.intersect(pullback_support(gs, pbn))
-                if not ts.is_empty:
-                    steps.setdefault(n + m, []).append((fn, gm, gs, pbn, ts))
-        return self.element({k: twisted_sum(pairs) for k, pairs in steps.items()}, mode=mode)
+                term = fn * pullback(gm.restrict(pbn.domain), pbn)
+                if not term.is_zero:
+                    steps.setdefault(n + m, []).append(term)
+        out = {}
+        for k, ts in steps.items():
+            hull = reduce(Interval.hull, [t.support for t in ts])
+            out[k] = ts[0] if len(ts) == 1 else SupportedFunction(hull, None, ts[0].carrier, None, "sum", tuple(ts))
+        return self.element(out, mode=mode)
 
     def involution(self, x: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)

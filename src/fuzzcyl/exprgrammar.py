@@ -18,6 +18,7 @@ Compiled expressions are vectorized: they accept numpy arrays for ``x``.
 from __future__ import annotations
 
 import ast
+import functools
 import operator
 import sys
 from typing import Callable
@@ -85,6 +86,14 @@ def _compile(node: ast.expr, depth: int) -> Callable:
     raise ExpressionError(f"{ast.unparse(node)[:40]!r} is outside the expression grammar")
 
 
+@functools.lru_cache
+def _read(text: str) -> tuple[ast.expr, Callable]:
+    """The tree of a text in the grammar and its closures f(x, h), read once per
+    text: a family compiles its two texts, then asks whether they are translations."""
+    node = _parse(text)
+    return node, _compile(node, 1)
+
+
 def _unplus(node: ast.expr) -> ast.expr:
     while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
         node = node.operand
@@ -93,9 +102,7 @@ def _unplus(node: ast.expr) -> ast.expr:
 
 def is_translation(text: str) -> bool:
     """Whether an expression parses as x + c or x - c with c free of x."""
-    node = _parse(text)
-    _compile(node, 1)
-    node = _unplus(node)
+    node = _unplus(_read(text)[0])
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
         return False
     left = _unplus(node.left)
@@ -105,7 +112,7 @@ def is_translation(text: str) -> bool:
 
 def compile_expression(text: str) -> Callable[[np.ndarray, float], np.ndarray]:
     """Compile an expression in x (and optionally h) to a vectorized callable."""
-    f = _compile(_parse(text), 1)
+    f = _read(text)[1]
 
     def fn(x, h=0.0):
         # off its domain a map gives NaN or inf, which the family checks report

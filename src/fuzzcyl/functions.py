@@ -8,13 +8,13 @@ pulling back along a partial bijection can never leak values off the allowed
 set. Evaluations sharing a `memo` dict form a pass (a top-level call, or one
 `distance`, `represent`, `CylinderFunction.eval` or `classical_limit_check`)
 that computes each memoized function (the coefficients of crossed-product
-elements) and each power's preimages once per point array. A product's
-output step is one node that sums its term pairs in one loop.
+elements) and each power's preimages once per point array. A crossed
+product's output step is built from these nodes: a product of a coefficient
+and a pulled-back coefficient, or a sum of such products.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,14 +113,12 @@ class SupportedFunction:
 # -- evaluation --------------------------------------------------------
 
 
-def _dense(f: SupportedFunction, xs: np.ndarray, memo: dict, support: Interval | None = None) -> np.ndarray:
-    """f over the 1-d array xs: its formula where xs lies in `support` (f's own
-    or one inside it), hard zero elsewhere. It may be a pass entry, which no
-    caller writes to."""
-    support = f.support if support is None else support
-    if f.op == "memo" and support is f.args[0].support:
+def _dense(f: SupportedFunction, xs: np.ndarray, memo: dict) -> np.ndarray:
+    """f over the 1-d array xs: its formula where xs lies in its support, hard
+    zero elsewhere. It may be a pass entry, which no caller writes to."""
+    if f.op == "memo" and f.support is f.args[0].support:
         return _entry(f.args[0], xs, memo)
-    _, mask, count = _in_support(support, xs, memo)
+    _, mask, count = _in_support(f.support, xs, memo)
     if not count:
         return np.zeros(xs.shape, dtype=complex)
     vals = _formula(f, xs, mask, memo, True)
@@ -160,10 +158,11 @@ def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict,
         return out
     if op == "memo":
         return _entry(args[0], xs, memo) if inside else _formula(args[0], xs, mask, memo, False)
-    if op == "step":
-        return _step(f, xs, mask, memo, inside)
     if op == "sum":
-        return _dense(args[0], xs, memo) + _dense(args[1], xs, memo)
+        out = _dense(args[0], xs, memo)
+        for g in args[1:]:
+            out = out + _dense(g, xs, memo)
+        return out
     if op == "product":
         return _formula(args[0], xs, mask, memo, inside) * _formula(args[1], xs, mask, memo, inside)
     if op == "scale":
@@ -180,25 +179,6 @@ def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict,
         spectrum, column, factor = args
         return factor * _rows(spectrum, spectrum, f.carrier, xs, mask, memo, inside)[:, column]
     raise ValueError(f"unknown coefficient node {op!r}")
-
-
-def _step(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict, inside: bool) -> np.ndarray:
-    """One output step of a crossed product (see `twisted_sum`): each pair adds
-    fn(x) g(pb^-1(x)), g masked to gs, where x lies in the term support ts. A
-    lone pair is a product, not a sum, so below a derivative ts does not mask it."""
-    lone = not inside and len(f.args) == 1
-    out = None
-    for fn, g, gs, pb, ts in f.args:
-        tmask, count = (mask, np.count_nonzero(mask)) if lone else _in_support(ts, xs, memo)[1:]
-        if not count:
-            term = np.zeros(xs.shape, dtype=complex)
-        else:
-            zs = _rows(pb, pb.inverse, pb.range, xs, tmask, memo, not lone)
-            term = _formula(fn, xs, tmask, memo, not lone) * _dense(g, zs, memo, gs)
-            if count < xs.size and not lone:
-                term = np.where(tmask, term, 0)
-        out = term if out is None else out + term
-    return out
 
 
 def _rows(owner, fn, span: Interval, xs: np.ndarray, mask: np.ndarray, memo: dict, covered: bool) -> np.ndarray:
@@ -352,24 +332,12 @@ def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
     """
     if f.support.is_empty:
         return zero_function(f.carrier)
-    return f._node("pullback", f, pb, support=pullback_support(f.support, pb))
-
-
-def pullback_support(support: Interval, pb: PartialBijection) -> Interval:
-    """The support of a function on `support` pulled back along pb."""
-    if not support.subset_of(pb.domain, SUPPORT_TOL):
-        raise SupportViolation(f"support {support} is not inside the bijection domain {pb.domain}")
-    iv = support.intersect(pb.domain)
+    if not f.support.subset_of(pb.domain, SUPPORT_TOL):
+        raise SupportViolation(f"support {f.support} is not inside the bijection domain {pb.domain}")
+    iv = f.support.intersect(pb.domain)
     # a translation's image is exact, so it needs no sampled monotonicity check
-    return image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
-
-
-def twisted_sum(pairs: Sequence[tuple]) -> SupportedFunction:
-    """The sum, in order, of fn * pullback(g restricted to gs, pb) over pairs
-    (fn, g, gs, pb, ts), ts being the term's support: one output step of a
-    crossed product as one node."""
-    return SupportedFunction(reduce(Interval.hull, [p[4] for p in pairs]), None, pairs[0][0].carrier, None, "step",
-                             tuple(pairs))
+    support = image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
+    return f._node("pullback", f, pb, support=support)
 
 
 def residual(f: SupportedFunction, g: SupportedFunction) -> float:

@@ -3,7 +3,8 @@
 Exit 2 must come with a machine-readable {"error", "context"} object, in
 strict JSON (no NaN or Infinity), as the last line on stderr. It must come for
 a tolerance that is not finite and nonnegative, a negative random_elements, a
-base_point that is not finite, and a family hbar that is not finite. Sizes are bounded (truncation <= 64,
+base_point that is not finite, a family hbar that is not finite, and an element
+step key past MAX_STEP or past where the chain can be computed. Sizes are bounded (truncation <= 64,
 grid_size <= 33, random_elements <= 2) so one example stays cheap.
 """
 
@@ -132,3 +133,22 @@ def test_bad_expression_pair_exits_two(tmp_path, forward, inverse):
         assert main(["orbit", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
     obj = json.loads(err.getvalue().splitlines()[-1], parse_constant=_not_strict_json)
     assert set(obj) == {"error", "context"}
+
+
+# a key past the float range, a chain end that overflows at D_1024, and a key one past MAX_STEP
+STEP_KEYS = [({"kind": "shift", "interval": "[0,1]", "hbar": 0.1}, 0.5, "9" * 400),
+             ({"kind": "custom", "interval": "[1,inf)", "hbar": 0.1, "forward": "2*x", "inverse": "x/2"}, 1.5, "1030"),
+             ({"kind": "custom", "interval": "[0,1]", "hbar": 0.1, "forward": "x^2", "inverse": "sqrt(x)"}, 0.5, "10001")]
+
+
+@pytest.mark.parametrize("family,base_point,key", STEP_KEYS, ids=["shift_400_digits", "double_1030", "square_10001"])
+def test_step_key_out_of_reach_exits_two(tmp_path, family, base_point, key):
+    cfg_path = tmp_path / "keys.cfg.json"
+    cfg_path.write_text(json.dumps({"family": family, "base_point": base_point,
+                                    "elements": [{"terms": {key: {"type": "const", "value": 1.0}}}]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["rep", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0], parse_constant=_not_strict_json)) == {"error", "context"}

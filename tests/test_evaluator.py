@@ -186,6 +186,7 @@ def test_triple_products_and_adjoints_match_the_closure_evaluator(name):
         ("poincare", "[0,1]", 0.3, {}),
         ("custom", "[0,1]", 0.125, {"forward": "x + h", "inverse": "x - h"}),
         ("custom", "[0,1]", 0.125, {"forward": "x - h", "inverse": "x + h"}),
+        ("custom", "[0,1]", 0.125, {"forward": "x + h*x", "inverse": "x/(1 + h)"}),
     ],
 )
 def test_disc_and_custom_families_match_the_closure_evaluator(kind, interval, hbar, exprs):
@@ -300,10 +301,20 @@ def _chain_end_points(alg, x):
     return np.array(sorted({e + d for e in ends for d in (-1e-13, 0.0, 1e-13)}))
 
 
-@pytest.mark.parametrize("name", CARRIERS)
+# the shift on each carrier, and three maps that are not translations, whose
+# pullbacks take their supports from image_monotone
+DERIVATIVE_FAMILIES = {name: ("shift", interval, hbar, {}) for name, (interval, hbar) in CARRIERS.items()}
+DERIVATIVE_FAMILIES.update({
+    "disc": ("poincare", UNIT, 0.3, {}),
+    "expanding_affine": ("custom", UNIT, 0.125, {"forward": "x + h*x", "inverse": "x/(1 + h)"}),
+    "square": ("custom", UNIT, 0.125, {"forward": "x^2", "inverse": "sqrt(x)"}),
+})
+
+
+@pytest.mark.parametrize("name", DERIVATIVE_FAMILIES)
 def test_derivatives_of_product_and_adjoint_coefficients_match_the_closure_evaluator(name):
-    interval, hbar = CARRIERS[name]
-    alg = CrossedProductAlgebra(make_family("shift", interval, hbar).generator)
+    kind, interval, hbar, exprs = DERIVATIVE_FAMILIES[name]
+    alg = CrossedProductAlgebra(make_family(kind, interval, hbar, **exprs).generator)
     rng = np.random.default_rng(761)
     window = Interval.closed(0.3, 0.8)  # supports that end inside their chain intervals
     for _ in range(4):

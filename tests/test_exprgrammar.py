@@ -1,10 +1,15 @@
 """The custom-map grammar: its values bit for bit against numpy arithmetic
 written out by hand, what it refuses, and which maps it reads as translations."""
 
+import ast
+
 import numpy as np
 import pytest
 
+from fuzzcyl import exprgrammar
+from fuzzcyl.bijection import make_family
 from fuzzcyl.exprgrammar import ExpressionError, compile_expression, is_translation
+from fuzzcyl.interval import Interval
 
 X = np.linspace(-2.0, 3.0, 41)
 ZERO, ONE = np.float64(0.0), np.float64(1.0)
@@ -67,3 +72,13 @@ def test_exponent_past_the_float_range_is_refused():
 ])
 def test_is_translation(text, expected):
     assert is_translation(text) is expected
+
+
+def test_a_custom_family_reads_each_text_once(monkeypatch):
+    calls = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda *args, **kwargs: calls.append(args[0]) or parse(*args, **kwargs))
+    exprgrammar._read.cache_clear()
+    fam = make_family("custom", Interval.closed(0.0, 1.0), 0.25, forward="x + h/2", inverse="x - h/2")
+    assert len(calls) == 2
+    assert fam.generator.offset == 0.125
