@@ -154,6 +154,19 @@ def _coefficients(desc: dict, carrier, build):
         raise ConfigError("bad element descriptor", {"detail": str(e)}) from None
 
 
+@contextlib.contextmanager
+def _chain_errors():
+    """A ValueError raised while products, adjoints or covariance walk the chain
+    is a ConfigError, as in _coefficients: floats cannot resolve the chain, e.g.
+    a sliver D_n whose two ends map to one image."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError("chain cannot be computed for this family", {"detail": str(e)}) from None
+
+
 def _config_elements(cfg: RunConfig, alg: CrossedProductAlgebra) -> list:
     return [_coefficients(el, alg.carrier, alg.element) for el in cfg.elements]
 
@@ -204,30 +217,33 @@ def _cmd_rep(cfg: RunConfig) -> tuple[dict, bool]:
 def _cmd_algebra_check(cfg: RunConfig) -> tuple[dict, bool]:
     alg = _algebra(cfg)
     rng = np.random.default_rng(cfg.seed)
-    payload = {"relations": u_relations_check(alg, grid_size=cfg.grid_size, tol=cfg.tolerance)}
-    ok = payload["relations"]["pass"]
+    with _chain_errors():
+        payload = {"relations": u_relations_check(alg, grid_size=cfg.grid_size, tol=cfg.tolerance)}
+        ok = payload["relations"]["pass"]
 
-    if cfg.base_point is not None:
-        rep = matrix_rep(build_orbit(alg.alpha, _base_point(cfg, alg), cfg.truncation))
-        payload["covariance"] = covariance_check(alg, rep, tol=cfg.tolerance)
-        ok = ok and payload["covariance"]["pass"]
-    else:
-        rep = None
+        if cfg.base_point is not None:
+            rep = matrix_rep(build_orbit(alg.alpha, _base_point(cfg, alg), cfg.truncation))
+            payload["covariance"] = covariance_check(alg, rep, tol=cfg.tolerance)
+            ok = ok and payload["covariance"]["pass"]
+        else:
+            rep = None
 
-    elems = _config_elements(cfg, alg) + _random_elements(alg, rng, cfg.random_elements)
-    pair_rows = []
-    if rep is not None:
-        mats = [represent(x, rep) for x in elems]
-        for i in range(len(elems)):
-            for j in range(len(elems)):
-                lhs = represent(elems[i] * elems[j], rep)
-                rhs = mats[i] @ mats[j]
-                # rows within reach of a truncated chain end, by the left factor's steps, lose terms
-                excl = excluded_indices(rep.orbit, max((abs(n) for n in elems[i].terms), default=0))
-                keep = [k for k in range(rep.dim) if k not in excl]
-                r = float(np.max(np.abs(lhs[keep] - rhs[keep]))) if keep else 0.0
-                pair_rows.append({"pair": [i, j], "residual": r, "excluded_indices": sorted(excl),
-                                  "pass": bool(r <= cfg.tolerance * rep.dim)})
+        elems = _config_elements(cfg, alg) + _random_elements(alg, rng, cfg.random_elements)
+        pair_rows = []
+        if rep is not None:
+            mats = [represent(x, rep) for x in elems]
+            for i in range(len(elems)):
+                for j in range(len(elems)):
+                    lhs = represent(elems[i] * elems[j], rep)
+                    rhs = mats[i] @ mats[j]
+                    # rows within reach of a truncated chain end, by the left factor's steps, lose terms
+                    excl = excluded_indices(rep.orbit, max((abs(n) for n in elems[i].terms), default=0))
+                    keep = [k for k in range(rep.dim) if k not in excl]
+                    r = float(np.max(np.abs(lhs[keep] - rhs[keep]))) if keep else 0.0
+                    # relative to the product's size on the kept rows, so rounding alone passes
+                    bound = cfg.tolerance * rep.dim * float(np.max(np.abs(rhs[keep]), initial=1.0))
+                    pair_rows.append({"pair": [i, j], "residual": r, "excluded_indices": sorted(excl),
+                                      "pass": bool(r <= bound)})
     payload["element_pairs"] = pair_rows
     ok = ok and all(row["pass"] for row in pair_rows)
     return payload, bool(ok)
@@ -292,12 +308,13 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     alg = _algebra(cfg)
     rng = np.random.default_rng(cfg.seed)
     elems = _config_elements(cfg, alg) + _random_elements(alg, rng, cfg.random_elements)
-    try:
-        _, points, report = sample_interval_to_finite(
-            alg, _base_point(cfg, alg), elements=elems, tol=cfg.tolerance, truncation=cfg.truncation
-        )
-    except GridIncompatible as e:
-        raise ConfigError("orbit grid is not closed under the map", {"detail": str(e)}) from None
+    with _chain_errors():
+        try:
+            _, points, report = sample_interval_to_finite(
+                alg, _base_point(cfg, alg), elements=elems, tol=cfg.tolerance, truncation=cfg.truncation
+            )
+        except GridIncompatible as e:
+            raise ConfigError("orbit grid is not closed under the map", {"detail": str(e)}) from None
     return report, report["pass"]
 
 
@@ -555,7 +572,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        payload, ok = _HANDLERS[cfg.command](cfg)
+        # an overflowing value is a refused config, never an inf or NaN in a report
+        with np.errstate(over="raise"):
+            try:
+                payload, ok = _HANDLERS[cfg.command](cfg)
+            except FloatingPointError as e:
+                raise ConfigError("a computed value overflows the float range", {"detail": str(e)}) from None
     except ConfigError as e:
         sys.stderr.write(json.dumps({"error": str(e), "context": _jsonable(e.context)}, sort_keys=True) + "\n")
         return 2

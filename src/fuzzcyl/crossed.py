@@ -1,10 +1,10 @@
 """Crossed product of a supported-function algebra by one partial bijection.
 
 Elements are finite sums of terms f_n d_n, where d_n is the n-th step and
-f_n must live on the n-th member of the nested interval chain. The product
-twists the right factor through the partial bijection; the involution
-conjugates and transports across. Coefficient supports outside the chain are
-clipped by default; strict mode turns a violation into an error instead.
+f_n lives on the n-th member D_n of the nested interval chain: a coefficient
+is clipped to it. The product twists the right factor through the partial
+bijection, and the involution conjugates and transports across; `pullback`
+clips what it transports to the power's domain D_-n itself.
 
 The algebra is the `PartialAction` of its generator: it caches the powers
 alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges.
@@ -20,14 +20,7 @@ import numpy as np
 
 from .interval import Interval
 from .bijection import PartialAction, make_family
-from .functions import (
-    SUPPORT_TOL,
-    SupportViolation,
-    SupportedFunction,
-    partial_identity,
-    polynomial,
-    pullback,
-)
+from .functions import SUPPORT_TOL, SupportedFunction, partial_identity, polynomial, pullback
 
 RESIDUAL_TOL = 1e-9  # largest coefficient residual the relation checks below accept by default
 MAX_STEP = 10_000  # longest chain walk of nilpotency_degree, and largest |n| of a configured term
@@ -42,20 +35,13 @@ class CrossedProductAlgebra(PartialAction):
 
     # -- element constructors -----------------------------------------
 
-    def element(self, terms: Mapping[int, SupportedFunction], mode: str = "clip") -> "CrossedProductElement":
-        if mode not in ("clip", "strict"):
-            raise ValueError(f"mode must be 'clip' or 'strict', got {mode!r}")
+    def element(self, terms: Mapping[int, SupportedFunction]) -> "CrossedProductElement":
         out: dict[int, SupportedFunction] = {}
         for n, fn in terms.items():
             n = int(n)
             if fn.carrier != self.carrier:
                 raise ValueError("coefficient lives on a different carrier interval")
-            iv = self.interval_n(n)
-            if mode == "strict" and not fn.support.subset_of(iv, SUPPORT_TOL):
-                raise SupportViolation(
-                    f"term {n} supported on {fn.support}, outside the chain interval {iv}"
-                )
-            clipped = fn.restrict(iv)
+            clipped = fn.restrict(self.interval_n(n))
             if not clipped.support.is_empty:
                 out[n] = clipped.memoized()
         return CrossedProductElement(self, out)
@@ -94,7 +80,7 @@ class CrossedProductAlgebra(PartialAction):
 
     # -- operations ---------------------------------------------------
 
-    def multiply(self, x: "CrossedProductElement", y: "CrossedProductElement", mode: str = "clip") -> "CrossedProductElement":
+    def multiply(self, x: "CrossedProductElement", y: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)
         self._own(y)
         # (f_n d_n)(g_m d_m) = f_n (g_m pulled back along alpha^n) d_{n+m}. A step of
@@ -106,23 +92,18 @@ class CrossedProductAlgebra(PartialAction):
             for m, gm in sorted(y.terms.items()):
                 if self.interval_n(n + m).is_empty:
                     continue
-                term = fn * pullback(gm.restrict(pbn.domain), pbn)
+                term = fn * pullback(gm, pbn)
                 if not term.is_zero:
                     steps.setdefault(n + m, []).append(term)
         out = {}
         for k, ts in steps.items():
             hull = reduce(Interval.hull, [t.support for t in ts])
             out[k] = ts[0] if len(ts) == 1 else SupportedFunction(hull, None, ts[0].carrier, None, "sum", tuple(ts))
-        return self.element(out, mode=mode)
+        return self.element(out)
 
     def involution(self, x: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)
-        acc: dict[int, SupportedFunction] = {}
-        for n, fn in x.terms.items():
-            moved = pullback(fn.conj().restrict(self.power(-n).domain), self.power(-n))
-            if not moved.support.is_empty:
-                acc[-n] = moved
-        return self.element(acc)
+        return self.element({-n: pullback(fn.conj(), self.power(-n)) for n, fn in x.terms.items()})
 
     def distance(self, x: "CrossedProductElement", y: "CrossedProductElement", grid_size: int = 101) -> float:
         """Max absolute coefficient difference over the carrier grid, all steps."""
@@ -231,16 +212,15 @@ def u_relations_check(alg: CrossedProductAlgebra, grid_size: int = 101, tol: flo
     fe = alg.element({0: f})
 
     def moved(g: SupportedFunction, n: int) -> CrossedProductElement:
-        pb = alg.power(n)
-        return alg.element({0: pullback(g.restrict(pb.domain), pb)})
+        return alg.element({0: pullback(g, alg.power(n))})
 
     pairs = [
         ("uu* = p(1)", u * us, alg.element({0: alg.p(1)})),
         ("u*u = p(-1)", us * u, alg.element({0: alg.p(-1)})),
         ("uu*u = u", u * us * u, u),
         ("u*uu* = u*", us * u * us, us),
-        ("u f = (f|chain thru step) u", u * fe, moved(f.restrict(alg.interval_n(-1)), 1) * u),
-        ("u* f = (f|chain thru step back) u*", us * fe, moved(f.restrict(alg.interval_n(1)), -1) * us),
+        ("u f = (f|chain thru step) u", u * fe, moved(f, 1) * u),
+        ("u* f = (f|chain thru step back) u*", us * fe, moved(f, -1) * us),
     ]
     rows = []
     worst = 0.0

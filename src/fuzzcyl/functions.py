@@ -28,10 +28,6 @@ RawMap = Callable[[np.ndarray], np.ndarray]
 SUPPORT_TOL = 1e-9
 
 
-class SupportViolation(ValueError):
-    """Raised when a function's support escapes the set an operation requires."""
-
-
 class SupportedFunction:
     """A bounded complex function on `carrier`, zero outside `support`.
 
@@ -325,18 +321,13 @@ def _as_complex(v) -> complex:
 
 
 def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
-    """Transport f along pb: the result at y is f(pb^{-1}(y)).
-
-    f must be supported inside pb's domain; anything else would push values
-    off the ideal the operation is meant to land in, so it is an error.
-    """
+    """Transport f, clipped to pb's domain, along pb: the result at y is
+    f(pb^{-1}(y)) on pb's range and zero elsewhere."""
+    f = f.restrict(pb.domain)
     if f.support.is_empty:
         return zero_function(f.carrier)
-    if not f.support.subset_of(pb.domain, SUPPORT_TOL):
-        raise SupportViolation(f"support {f.support} is not inside the bijection domain {pb.domain}")
-    iv = f.support.intersect(pb.domain)
     # a translation's image is exact, so it needs no sampled monotonicity check
-    support = image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
+    support = image_monotone(f.support, pb.forward) if pb.offset is None else f.support.shifted(pb.offset)
     return f._node("pullback", f, pb, support=support)
 
 

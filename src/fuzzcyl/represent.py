@@ -192,7 +192,6 @@ def covariance_check(
     rows = []
     ok_all = True
     for n in ns:
-        pb = alg.power(n)
         images, sources = rep.links(n)
         excl = excluded_indices(rep.orbit, n)
         keep = np.ones(rep.dim, dtype=bool)
@@ -208,7 +207,7 @@ def covariance_check(
             g = np.asarray(fr(pts), dtype=complex)
             lhs = np.zeros(rep.dim, dtype=complex)
             lhs[images] = g[sources]
-            moved = pullback(fr.restrict(pb.domain), pb)(pts)
+            moved = pullback(f, alg.power(n))(pts)
             if keep.any():
                 conj_res = max(conj_res, float(np.max(np.abs(lhs - moved)[keep])))
 

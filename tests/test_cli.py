@@ -98,6 +98,18 @@ class TestAlgebraCheck:
         code, d = run_json(tmp_path, ["orbit", "--config", cfg])
         assert d["chains"] == [{"indices": list(range(64)), "minus_truncated": True, "plus_truncated": True}]
 
+    @pytest.mark.parametrize("family,base_point", [
+        ({"kind": "custom", "interval": "[0, inf)", "hbar": 0.1, "forward": "2*x + h", "inverse": "(x - h)/2"}, 0.05),
+        ({"kind": "custom", "interval": "[1, inf)", "hbar": 0.1, "forward": "2*x", "inverse": "x/2"}, 1.5),
+    ], ids=["affine_half_line", "double_from_one"])
+    def test_pair_rows_on_expanding_windows_pass(self, tmp_path, family, base_point):
+        # the window reaches 1e18 and past, so the products' rounding alone is far above tolerance * dim
+        cfg = write_config(tmp_path, {"family": family, "base_point": base_point, "random_elements": 4, "seed": 1})
+        code, d = run_json(tmp_path, ["algebra-check", "--config", cfg])
+        assert code == 0
+        assert len(d["element_pairs"]) == 16 and all(r["pass"] for r in d["element_pairs"])
+        assert max(r["residual"] for r in d["element_pairs"]) > 1e6
+
     def test_seed_gives_byte_identical_output(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, random_elements=3))
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"

@@ -3,9 +3,11 @@
 Exit 2 must come with a machine-readable {"error", "context"} object, in
 strict JSON (no NaN or Infinity), as the last line on stderr. It must come for
 a tolerance that is not finite and nonnegative, a negative random_elements, a
-base_point that is not finite, a family hbar that is not finite, and an element
-step key past MAX_STEP or past where the chain can be computed. Sizes are bounded (truncation <= 64,
-grid_size <= 33, random_elements <= 2) so one example stays cheap.
+base_point that is not finite, a family hbar that is not finite, an element
+step key past MAX_STEP or past where the chain can be computed, a chain that
+algebra-check or oracle cannot walk in floats, and a computed value that
+overflows. Sizes are bounded (truncation <= 64, grid_size <= 33,
+random_elements <= 2) so one example stays cheap.
 """
 
 import contextlib
@@ -68,6 +70,7 @@ coefficients = mostly(
         st.builds(lambda cs: {"type": "poly", "coeffs": cs},
                   st.lists(st.sampled_from([1.0, 0.0, [0.0, 2.0]]), min_size=1, max_size=3)),
         st.just({"type": "exp_wave", "k": 2.0}),
+        st.just({"type": "sqrt_affine", "a": 1.0, "b": -0.5}),
     ),
     st.sampled_from([{"type": "wobble"}, {"type": "poly", "coeffs": [[1.0]]}, {"value": 1.0}, {"type": "const", "value": "i"}, 5]),
 )
@@ -152,3 +155,41 @@ def test_step_key_out_of_reach_exits_two(tmp_path, family, base_point, key):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0], parse_constant=_not_strict_json)) == {"error", "context"}
+
+
+def _one_error_line(err):
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0], parse_constant=_not_strict_json)) == {"error", "context"}
+
+
+# at h = 1/3 the chain member D_-2 of 2*x + h rounds to the sliver [0, 2.8e-17], whose ends map to one image
+SLIVER = {"family": {"kind": "custom", "interval": "[0, 1]", "hbar": 1 / 3, "forward": "2*x + h",
+                     "inverse": "(x - h)/2"}, "base_point": 0.1, "random_elements": 4, "seed": 1}
+
+
+@pytest.mark.parametrize("command", ["algebra-check", "oracle"])
+def test_chain_sliver_exits_two(tmp_path, command):
+    cfg_path = tmp_path / "sliver.cfg.json"
+    cfg_path.write_text(json.dumps(SLIVER))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    _one_error_line(err)
+
+
+# 1e308 + 1e308 x overflows on the carrier
+OVERFLOW = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125,
+            "elements": [{"terms": {"0": {"type": "poly", "coeffs": [1e308, 1e308]}, "1": {"type": "const", "value": 1}}}]}
+
+
+@pytest.mark.parametrize("command", ["rep", "algebra-check", "oracle"])
+def test_overflowing_coefficient_exits_two(tmp_path, command):
+    cfg_path = tmp_path / "overflow.cfg.json"
+    cfg_path.write_text(json.dumps(OVERFLOW))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _one_error_line(err)

@@ -11,7 +11,7 @@ from fuzzcyl.crossed import (
     fixed_point_subalgebra_check,
     u_relations_check,
 )
-from fuzzcyl.functions import SupportViolation, polynomial
+from fuzzcyl.functions import polynomial
 
 UNIT = Interval.closed(0.0, 1.0)
 
@@ -58,12 +58,6 @@ class TestElementConstruction:
         f = polynomial([1.0], UNIT)  # supported everywhere
         x = cyl.element({1: f})
         assert x.terms[1].support == Interval.closed(0.25, 1.0)
-
-    def test_strict_mode_raises(self):
-        cyl = quarter_cylinder()
-        with pytest.raises(SupportViolation):
-            cyl.element({1: polynomial([1.0], UNIT)}, mode="strict")
-        cyl.element({1: polynomial([1.0], UNIT, support=Interval.closed(0.3, 1.0))}, mode="strict")
 
     def test_empty_chain_interval_drops_term(self):
         cyl = quarter_cylinder()
@@ -175,7 +169,7 @@ class TestProducts:
         cyl = quarter_cylinder()
         for _ in range(20):
             x, y = (random_cp_element(cyl, rng) for _ in range(2))
-            prod = cyl.multiply(x, y, mode="strict")  # strict: violation would raise
+            prod = cyl.multiply(x, y)
             for n, fn in prod.terms.items():
                 assert fn.support.subset_of(cyl.interval_n(n), 1e-9)
 

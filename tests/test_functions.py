@@ -4,7 +4,6 @@ import pytest
 from fuzzcyl.interval import EMPTY, Interval
 from fuzzcyl.bijection import make_family, power
 from fuzzcyl.functions import (
-    SupportViolation,
     approx_equal,
     constant,
     exp_wave,
@@ -69,11 +68,14 @@ def test_pullback_example():
     assert g(0.1) == 0.0
 
 
-def test_pullback_support_violation():
-    f = polynomial([1.0], UNIT)  # supported on all of [0,1]
+def test_pullback_clips_to_domain():
+    f = polynomial([0.0, 1.0], UNIT)  # supported on all of [0,1], past the domain [0, 0.75]
     fam = make_family("shift", UNIT, 0.25)
-    with pytest.raises(SupportViolation):
-        pullback(f, fam.generator)
+    g = pullback(f, fam.generator)
+    clipped = pullback(f.restrict(fam.generator.domain), fam.generator)
+    assert g.support == clipped.support == Interval.closed(0.25, 1.0)
+    xs = UNIT.grid()
+    assert np.array_equal(g(xs), clipped(xs))
 
 
 def test_pullback_inverse_direction():
