@@ -7,7 +7,10 @@ bijection, and the involution conjugates and transports across; `pullback`
 clips what it transports to the power's domain D_-n itself.
 
 The algebra is the `PartialAction` of its generator: it caches the powers
-alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges.
+alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges. It
+also keeps, for as long as it lives, what depends on the algebra alone: the
+carrier grid of each size `distance` samples, as a `PointSet` with its masks
+and preimages, and the supports of each twisted-product term.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .interval import Interval
-from .bijection import PartialAction, make_family
-from .functions import SUPPORT_TOL, SupportedFunction, partial_identity, polynomial, pullback
+from .bijection import PartialAction, PartialBijection, make_family
+from .functions import SUPPORT_TOL, PointSet, SupportedFunction, partial_identity, polynomial, pullback, transported
 
 RESIDUAL_TOL = 1e-9  # largest coefficient residual the relation checks below accept by default
 MAX_STEP = 10_000  # longest chain walk of nilpotency_degree, and largest |n| of a configured term
@@ -28,6 +31,11 @@ MAX_STEP = 10_000  # longest chain walk of nilpotency_degree, and largest |n| of
 
 class CrossedProductAlgebra(PartialAction):
     """The crossed product by the partial action of one generator: element construction and operations."""
+
+    def __init__(self, generator: PartialBijection):
+        super().__init__(generator)
+        self._grids: dict[int, PointSet] = {}
+        self._term_supports: dict[tuple, tuple] = {}
 
     def p(self, n: int) -> SupportedFunction:
         """Indicator coefficient of the n-th chain interval."""
@@ -90,16 +98,33 @@ class CrossedProductAlgebra(PartialAction):
         for n, fn in sorted(x.terms.items()):
             pbn = self.power(n)
             for m, gm in sorted(y.terms.items()):
-                if self.interval_n(n + m).is_empty:
-                    continue
-                term = fn * pullback(gm, pbn)
-                if not term.is_zero:
-                    steps.setdefault(n + m, []).append(term)
+                key = (fn.support, gm.support, n, m)
+                supports = self._term_supports.get(key)
+                if supports is None:
+                    supports = self._term_supports[key] = self._term_support(fn.support, gm.support, n, m)
+                if supports:
+                    clip, image, support = supports
+                    g = gm if clip is None else SupportedFunction(clip, gm.raw, gm.carrier, gm.deriv, gm.op, gm.args)
+                    pulled = g._node("pullback", g, pbn, support=image)
+                    steps.setdefault(n + m, []).append(fn._node("product", fn, pulled, support=support))
         out = {}
         for k, ts in steps.items():
             hull = reduce(Interval.hull, [t.support for t in ts])
             out[k] = ts[0] if len(ts) == 1 else SupportedFunction(hull, None, ts[0].carrier, None, "sum", tuple(ts))
         return self.element(out)
+
+    def _term_support(self, fs: Interval, gs: Interval, n: int, m: int) -> tuple:
+        """What `fn * pullback(gm, self.power(n))` makes of the supports fs of f_n and gs of g_m:
+        (gs clipped to D_-n, None where it lies inside; its image; the term's), or () for a zero term."""
+        if self.interval_n(n + m).is_empty:
+            return ()
+        pbn = self.power(n)
+        clip = gs.intersect(pbn.domain)
+        if clip.is_empty:
+            return ()
+        image = transported(clip, pbn)
+        support = fs.intersect(image)
+        return () if support.is_empty else (None if clip is gs else clip, image, support)
 
     def involution(self, x: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)
@@ -109,13 +134,15 @@ class CrossedProductAlgebra(PartialAction):
         """Max absolute coefficient difference over the carrier grid, all steps."""
         self._own(x)
         self._own(y)
-        xs = self.carrier.grid(grid_size)
+        pts = self._grids.get(grid_size)
+        if pts is None:
+            pts = self._grids[grid_size] = PointSet(self.carrier.grid(grid_size))
         memo: dict = {}
         worst = 0.0
         for n in set(x.terms) | set(y.terms):
-            fx = x.terms[n](xs, memo) if n in x.terms else np.zeros(xs.shape, complex)
-            fy = y.terms[n](xs, memo) if n in y.terms else np.zeros(xs.shape, complex)
-            worst = max(worst, float(np.max(np.abs(fx - fy))) if xs.size else 0.0)
+            fx = x.terms[n](pts, memo) if n in x.terms else np.zeros(pts.size, complex)
+            fy = y.terms[n](pts, memo) if n in y.terms else np.zeros(pts.size, complex)
+            worst = max(worst, float(np.max(np.abs(fx - fy))) if pts.size else 0.0)
         return worst
 
     def _own(self, x: "CrossedProductElement") -> None:

@@ -5,16 +5,23 @@ product, scale, conjugate, derivative, pullback or angle mode of functions.
 Values outside the declared support are hard zero regardless of what the
 underlying formula would return, so multiplying by a partial identity or
 pulling back along a partial bijection can never leak values off the allowed
-set. Evaluations sharing a `memo` dict form a pass (a top-level call, or one
-`distance`, `represent`, `CylinderFunction.eval` or `classical_limit_check`)
-that computes each memoized function (the coefficients of crossed-product
-elements) and each power's preimages once per point array. A crossed
-product's output step is built from these nodes: a product of a coefficient
-and a pulled-back coefficient, or a sum of such products.
+set. A crossed product's output step is built from these nodes: a product of
+a coefficient and a pulled-back coefficient, or a sum of such products.
+
+Functions are evaluated on a `PointSet`, which keeps what depends on its
+points alone for as long as it lives: the mask of each support and the
+preimages under each power. An algebra keeps one per grid size for
+`distance`, and a `MatrixRep` one for its window; an array passed in gets one
+for the pass. Values live for one pass: evaluations sharing a `memo` dict (a
+top-level call, or one `distance`, `represent`, `CylinderFunction.eval` or
+`classical_limit_check`) compute each memoized function (the coefficients of
+crossed-product elements) and each angle spectrum once per point set, and
+the memo goes when the pass ends.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,10 +51,16 @@ class SupportedFunction:
         self.support, self.raw, self.carrier, self.deriv, self.op, self.args = support, raw, carrier, deriv, op, args
 
     def __call__(self, x, memo: dict | None = None):
-        """Values at x; evaluations passing one memo share their work."""
+        """Values at x, points or a `PointSet`; evaluations passing one memo share their work."""
+        memo = {} if memo is None else memo
+        if isinstance(x, PointSet):
+            return _dense(self, x, memo)
         xs = np.asarray(x, dtype=float)
         pts = xs if xs.ndim == 1 else xs.reshape(-1)
-        out = _dense(self, pts, {} if memo is None else memo)
+        entry = memo.get(id(pts))
+        if entry is None:  # the pass's point set over pts; the entry keeps pts, so its id stays unique
+            entry = memo[id(pts)] = (pts, PointSet(pts))
+        out = _dense(self, entry[1], memo)
         return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _node(self, op: str, *args, support: Interval | None = None) -> "SupportedFunction":
@@ -109,42 +122,67 @@ class SupportedFunction:
 # -- evaluation --------------------------------------------------------
 
 
-def _dense(f: SupportedFunction, xs: np.ndarray, memo: dict) -> np.ndarray:
-    """f over the 1-d array xs: its formula where xs lies in its support, hard
-    zero elsewhere. It may be a pass entry, which no caller writes to."""
+class PointSet:
+    """Points and the geometry read off them: the mask of each support, keyed by
+    its value, and the preimages under each partial bijection, as child point
+    sets. Values of functions are never kept here; they live in a pass's memo."""
+
+    __slots__ = ("xs", "_masks", "_preimages")
+
+    def __init__(self, xs: np.ndarray):
+        self.xs, self._masks, self._preimages = xs, {}, {}
+
+    @property
+    def size(self) -> int:
+        return self.xs.size
+
+    def mask(self, support: Interval) -> tuple:
+        """(support.contains(xs), its count)."""
+        key = (support.lo, support.hi, support.lo_closed, support.hi_closed, support.is_empty)
+        entry = self._masks.get(key)
+        if entry is None:
+            mask = support.contains(self.xs, DEFAULT_TOL)
+            entry = self._masks[key] = (mask, np.count_nonzero(mask))
+        return entry
+
+    def preimage(self, pb: PartialBijection) -> "PointSet":
+        """pb's inverse at the points in pb's range, NaN elsewhere."""
+        entry = self._preimages.get(id(pb))
+        if entry is None:  # the entry keeps pb, so its id stays unique
+            entry = self._preimages[id(pb)] = (pb, PointSet(_rows(pb.inverse, pb.range, self)))
+        return entry[1]
+
+
+def _dense(f: SupportedFunction, pts: PointSet, memo: dict) -> np.ndarray:
+    """f over the points: its formula where they lie in its support, hard zero
+    elsewhere. It may be a pass entry, which no caller writes to."""
     if f.op == "memo" and f.support is f.args[0].support:
-        return _entry(f.args[0], xs, memo)
-    _, mask, count = _in_support(f.support, xs, memo)
+        return _entry(f.args[0], pts, memo)
+    mask, count = pts.mask(f.support)
     if not count:
-        return np.zeros(xs.shape, dtype=complex)
-    vals = _formula(f, xs, mask, memo, True)
-    return vals if count == xs.size or f.op == "leaf" else np.where(mask, vals, 0)
+        return np.zeros(pts.xs.shape, dtype=complex)
+    vals = _formula(f, pts, mask, memo, True)
+    if count < pts.xs.size and f.op != "leaf":
+        if f.op in ("memo", "pullback"):  # vals may be a pass entry
+            return np.where(mask, vals, 0)
+        vals[~mask] = 0  # any other node made vals itself
+    return vals
 
 
-def _entry(g: SupportedFunction, xs: np.ndarray, memo: dict) -> np.ndarray:
-    """_dense(g, xs) for a memo node's child g, once per pass and point array."""
-    entry = memo.get((id(g), id(xs)))
-    if entry is None:
-        entry = memo[id(g), id(xs)] = (g, xs, _dense(g, xs, memo))  # keeps g and xs, so their ids stay unique
-    return entry[2]
+def _entry(g: SupportedFunction, pts: PointSet, memo: dict) -> np.ndarray:
+    """_dense(g, pts) for a memo node's child g, once per pass and point set."""
+    vals = memo.get((g, pts))
+    if vals is None:
+        vals = memo[g, pts] = _dense(g, pts, memo)
+    return vals
 
 
-def _in_support(support: Interval, xs: np.ndarray, memo: dict) -> tuple:
-    """(xs, support.contains(xs), its count), once per pass for each support and point array."""
-    key = (support.lo, support.hi, support.lo_closed, support.hi_closed, support.is_empty, id(xs))
-    entry = memo.get(key)
-    if entry is None:
-        mask = support.contains(xs, DEFAULT_TOL)
-        entry = memo[key] = (xs, mask, np.count_nonzero(mask))
-    return entry
-
-
-def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict, inside: bool) -> np.ndarray:
-    """f's formula at the 1-d array xs where mask holds (elsewhere unspecified, zero
+def _formula(f: SupportedFunction, pts: PointSet, mask: np.ndarray, memo: dict, inside: bool) -> np.ndarray:
+    """f's formula at the points where mask holds (elsewhere unspecified, zero
     for a leaf), ignoring f's own support. `inside` says mask lies in f's support,
     so a memo node reads its child's pass entry; below a derivative it does not,
     as a central difference reads formulas off the support."""
-    op, args = f.op, f.args
+    op, args, xs = f.op, f.args, pts.xs
     if op == "leaf":
         if np.count_nonzero(mask) == xs.size:
             vals = np.asarray(f.raw(xs), dtype=complex)
@@ -153,46 +191,56 @@ def _formula(f: SupportedFunction, xs: np.ndarray, mask: np.ndarray, memo: dict,
         out[mask] = f.raw(xs[mask])
         return out
     if op == "memo":
-        return _entry(args[0], xs, memo) if inside else _formula(args[0], xs, mask, memo, False)
-    if op == "sum":
-        out = _dense(args[0], xs, memo)
+        return _entry(args[0], pts, memo) if inside else _formula(args[0], pts, mask, memo, False)
+    if op == "sum":  # of two or more functions
+        out = _dense(args[0], pts, memo)
         for g in args[1:]:
-            out = out + _dense(g, xs, memo)
+            out = out + _dense(g, pts, memo)
         return out
     if op == "product":
-        return _formula(args[0], xs, mask, memo, inside) * _formula(args[1], xs, mask, memo, inside)
+        return _formula(args[0], pts, mask, memo, inside) * _formula(args[1], pts, mask, memo, inside)
     if op == "scale":
-        return args[1] * _formula(args[0], xs, mask, memo, inside)
+        return args[1] * _formula(args[0], pts, mask, memo, inside)
     if op == "conj":
-        return np.conjugate(_formula(args[0], xs, mask, memo, inside))
+        return np.conjugate(_formula(args[0], pts, mask, memo, inside))
     if op == "derivative":
         g, step = args[0], 1e-5
-        return (_formula(g, xs + step, mask, memo, False) - _formula(g, xs - step, mask, memo, False)) / (2.0 * step)
+        up, down = PointSet(xs + step), PointSet(xs - step)
+        return (_formula(g, up, mask, memo, False) - _formula(g, down, mask, memo, False)) / (2.0 * step)
     if op == "pullback":
         g, pb = args
-        return _dense(g, _rows(pb, pb.inverse, pb.range, xs, mask, memo, inside), memo)
+        pre = pts.preimage(pb)
+        if not inside:
+            filled = _filled(pre.xs, pb.inverse, pb.range, pts, mask)
+            pre = pre if filled is pre.xs else PointSet(filled)
+        return _dense(g, pre, memo)
     if op == "mode":  # column of an angle spectrum, see star.psi_inv
         spectrum, column, factor = args
-        return factor * _rows(spectrum, spectrum, f.carrier, xs, mask, memo, inside)[:, column]
+        rows = memo.get((spectrum, pts))
+        if rows is None:
+            rows = memo[spectrum, pts] = _rows(spectrum, f.carrier, pts)
+        return factor * (rows if inside else _filled(rows, spectrum, f.carrier, pts, mask))[:, column]
     raise ValueError(f"unknown coefficient node {op!r}")
 
 
-def _rows(owner, fn, span: Interval, xs: np.ndarray, mask: np.ndarray, memo: dict, covered: bool) -> np.ndarray:
-    """fn's rows at the points of xs in span, NaN elsewhere, once per pass for each
-    owner and point array; unless mask is `covered` by span, the rest of mask
-    is filled into a copy."""
-    entry = memo.get((id(owner), id(xs)))
-    if entry is None:
-        have = _in_support(span, xs, memo)[1]
-        new = fn(xs[have])
-        vals = np.full(xs.shape + new.shape[1:], np.nan, dtype=new.dtype)
-        vals[have] = new
-        entry = memo[id(owner), id(xs)] = (owner, xs, vals)  # keeps owner and xs, so their ids stay unique
-    if covered or not np.count_nonzero(extra := mask & ~_in_support(span, xs, memo)[1]):
-        return entry[2]
-    vals = entry[2].copy()
-    vals[extra] = fn(xs[extra])
+def _rows(fn, span: Interval, pts: PointSet) -> np.ndarray:
+    """fn's rows at the points in span, NaN elsewhere."""
+    have = pts.mask(span)[0]
+    new = fn(pts.xs[have])
+    vals = np.full(pts.xs.shape + new.shape[1:], np.nan, dtype=new.dtype)
+    vals[have] = new
     return vals
+
+
+def _filled(rows: np.ndarray, fn, span: Interval, pts: PointSet, mask: np.ndarray) -> np.ndarray:
+    """_rows(fn, span, pts), with fn's rows at the points of mask outside span
+    filled into a copy; rows itself when there are none."""
+    extra = mask & ~pts.mask(span)[0]
+    if not np.count_nonzero(extra):
+        return rows
+    rows = rows.copy()
+    rows[extra] = fn(pts.xs[extra])
+    return rows
 
 
 # -- constructors ----------------------------------------------------
@@ -246,6 +294,7 @@ def _horner(top_down: list[complex], xs) -> np.ndarray:
 
 def exp_wave(k: float, carrier: Interval, support: Interval | None = None) -> SupportedFunction:
     """The plane-wave formula exp(i k x)."""
+    _finite(k)
     return SupportedFunction(
         support=carrier if support is None else support,
         raw=lambda xs: np.exp(1j * k * np.asarray(xs, dtype=float)),
@@ -256,6 +305,8 @@ def exp_wave(k: float, carrier: Interval, support: Interval | None = None) -> Su
 
 def sqrt_affine(a: float, b: float, carrier: Interval, support: Interval | None = None) -> SupportedFunction:
     """sqrt(a + b x) on the region where the radicand is nonnegative."""
+    _finite(a)
+    _finite(b)
     pos = _affine_nonneg_region(a, b)
     sup = (carrier if support is None else support).intersect(pos)
 
@@ -313,8 +364,15 @@ def _as_complex(v) -> complex:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ValueError(f"complex value must be a [re, im] pair, got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+        return _finite(complex(float(v[0]), float(v[1])))
+    return _finite(complex(v))
+
+
+def _finite(v: complex) -> complex:
+    """v, refused where it is not finite: JSON reads 1e309 as inf."""
+    if not cmath.isfinite(v):
+        raise ValueError(f"value {v!r} is not finite")
+    return v
 
 
 # -- operations over a partial bijection ------------------------------
@@ -326,9 +384,13 @@ def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
     f = f.restrict(pb.domain)
     if f.support.is_empty:
         return zero_function(f.carrier)
+    return f._node("pullback", f, pb, support=transported(f.support, pb))
+
+
+def transported(iv: Interval, pb: PartialBijection) -> Interval:
+    """The image under pb of iv, a nonempty interval inside pb's domain."""
     # a translation's image is exact, so it needs no sampled monotonicity check
-    support = image_monotone(f.support, pb.forward) if pb.offset is None else f.support.shifted(pb.offset)
-    return f._node("pullback", f, pb, support=support)
+    return image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
 
 
 def residual(f: SupportedFunction, g: SupportedFunction) -> float:

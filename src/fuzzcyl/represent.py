@@ -17,6 +17,7 @@ exclude a strip as deep as the step being tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .interval import DEFAULT_TOL
 from .bijection import PartialBijection
 from .crossed import CrossedProductAlgebra, CrossedProductElement
-from .functions import SupportedFunction, polynomial, pullback
+from .functions import PointSet, SupportedFunction, polynomial, pullback
 
 
 @dataclass
@@ -122,6 +123,11 @@ class MatrixRep:
     def dim(self) -> int:
         return self.orbit.dim
 
+    @cached_property
+    def point_set(self) -> PointSet:
+        """The window's points, with the masks and preimages `represent` reads off them."""
+        return PointSet(self.orbit.points)
+
     def links(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(images, sources) of V^n: basis vector j goes to j + n, mod dim on a closed window."""
         dim = self.dim
@@ -154,7 +160,7 @@ def represent(x: CrossedProductElement, rep: MatrixRep) -> np.ndarray:
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     memo: dict = {}
     for n, fn in x.terms.items():
-        add_step_term(out, rep.links(n), fn(rep.orbit.points, memo))
+        add_step_term(out, rep.links(n), fn(rep.point_set, memo))
     return out
 
 

@@ -193,3 +193,22 @@ def test_overflowing_coefficient_exits_two(tmp_path, command):
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     _one_error_line(err)
+
+
+# JSON reads 1e309 as inf; a literal past the float range is a refused config
+NON_FINITE = {"const": '{"type": "const", "value": 1e309}', "poly": '{"type": "poly", "coeffs": [0.5, [1.0, -1e309]]}',
+              "exp_wave": '{"type": "exp_wave", "k": 1e309}', "sqrt_affine": '{"type": "sqrt_affine", "a": 1.0, "b": -1e309}'}
+
+
+@pytest.mark.parametrize("descriptor", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("command", ["rep", "algebra-check", "oracle"])
+def test_non_finite_coefficient_literal_exits_two(tmp_path, command, descriptor):
+    cfg_path = tmp_path / "literal.cfg.json"
+    cfg_path.write_text('{"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25}, "base_point": 0.125,'
+                        ' "elements": [{"terms": {"0": %s}}]}' % descriptor)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _one_error_line(err)

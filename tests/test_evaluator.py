@@ -284,7 +284,7 @@ def test_a_restricted_copy_shares_its_originals_pass_entry():
     kept = first.copy()
     got = [first, f(xs, memo), fr(ys, memo), f(ys, memo)]
     assert seen == on_child  # once per array in the pass, on the child's support points
-    assert sum(1 for entry in memo.values() if entry[0] is f.args[0]) == 2  # one entry per array
+    assert sum(1 for key in memo if isinstance(key, tuple) and key[0] is f.args[0]) == 2  # one entry per array
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
     assert np.array_equal(first.view(np.uint64), kept.view(np.uint64))
@@ -293,6 +293,85 @@ def test_a_restricted_copy_shares_its_originals_pass_entry():
     xr = alg.element({0: fr})
     assert alg.distance(xr, x) == float(np.max(np.abs(want[0] - want[1])))
     assert seen == [on_child[0]]
+
+
+# a translation, and a map whose pullbacks take their supports from image_monotone
+GEOMETRY_FAMILIES = {
+    "shift": ("shift", UNIT, 0.125, {}),
+    "expanding_affine": ("custom", UNIT, 0.125, {"forward": "x + h*x", "inverse": "x/(1 + h)"}),
+}
+
+
+def _geometry_case(name):
+    """An algebra and two sides of an associativity check, the same for each call."""
+    kind, interval, hbar, exprs = GEOMETRY_FAMILIES[name]
+    alg = CrossedProductAlgebra(make_family(kind, interval, hbar, **exprs).generator)
+    rng = np.random.default_rng(787)
+    x, y, z = (random_pair(alg, rng, (-2, -1, 0, 1, 2))[0] for _ in range(3))
+    return alg, (x * y) * z, x * (y * z).adjoint()
+
+
+def _counting_contains(monkeypatch):
+    calls = []
+    contains = Interval.contains
+    monkeypatch.setattr(Interval, "contains", lambda self, *args: calls.append(self) or contains(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("name", GEOMETRY_FAMILIES)
+def test_a_second_distance_reads_its_masks_off_the_algebra(monkeypatch, name):
+    alg, lhs, rhs = _geometry_case(name)
+    first = alg.distance(lhs, rhs)
+    calls = _counting_contains(monkeypatch)
+    second = alg.distance(lhs, rhs)
+    assert calls == []  # masks and preimages live with the algebra's grid
+    monkeypatch.undo()
+    fresh, flhs, frhs = _geometry_case(name)
+    assert second.hex() == first.hex() == fresh.distance(flhs, frhs).hex()
+
+
+@pytest.mark.parametrize("name", GEOMETRY_FAMILIES)
+def test_a_second_represent_reads_its_masks_off_the_window(monkeypatch, name):
+    from fuzzcyl.represent import build_orbit, matrix_rep, represent
+
+    alg, lhs, _ = _geometry_case(name)
+    rep = matrix_rep(build_orbit(alg.alpha, 0.05, 16))
+    first = represent(lhs, rep)
+    calls = _counting_contains(monkeypatch)
+    second = represent(lhs, rep)
+    assert calls == []  # masks and preimages live with the window
+    monkeypatch.undo()
+    fresh = represent(_geometry_case(name)[1], matrix_rep(build_orbit(alg.alpha, 0.05, 16)))
+    assert np.array_equal(second.view(np.uint64), first.view(np.uint64))
+    assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_round_trips_keep_no_angle_spectrum_on_the_grid():
+    import gc
+    import tracemalloc
+
+    from fuzzcyl.star import psi, psi_inv
+
+    alg = CrossedProductAlgebra(make_family("shift", UNIT, 0.05).generator)
+    x, _ = random_pair(alg, np.random.default_rng(797), (-2, 0, 1))
+
+    def trip():
+        return alg.distance(psi_inv(psi(x), max_n=4), x)
+
+    trip()  # the grid's masks and preimages
+    tracemalloc.start()
+    try:
+        trip()
+        gc.collect()
+        one = tracemalloc.get_traced_memory()[0]
+        for _ in range(19):
+            trip()
+        gc.collect()
+        twenty = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one pass's spectrum rows are 17 columns of 101 complex values, 27 kB
+    assert twenty - one < 4096, f"{twenty - one} bytes kept by 19 more round trips"
 
 
 def _chain_end_points(alg, x):
