@@ -13,7 +13,7 @@ image of D_(k-1), so the chain controls which group words survive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +36,8 @@ class PartialBijection:
 
     A translation x -> x + offset records its constant in `offset`, and its
     powers take the closed form `translation_power`; other maps leave it None.
+    The map keeps, for as long as it lives, what `transport` made of each
+    interval it was given.
     """
 
     carrier: Interval
@@ -44,10 +46,21 @@ class PartialBijection:
     forward: ArrayMap
     inverse: ArrayMap
     offset: float | None = None
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
         return self.domain.is_empty
+
+    def transport(self, iv: Interval) -> tuple[Interval, Interval]:
+        """(iv ∩ domain, its image), kept on the map for each iv met."""
+        hit = self._images.get(iv)
+        if hit is None:
+            clip = iv.intersect(self.domain)
+            # a translation's image is exact, so it needs no sampled monotonicity check
+            image = image_monotone(clip, self.forward) if self.offset is None else clip.shifted(self.offset)
+            hit = self._images[iv] = (clip, image)
+        return hit
 
     def apply(self, x):
         return self.forward(np.asarray(x, dtype=float))
@@ -143,7 +156,8 @@ class PartialAction:
     generator's range and domain, and each later D_k is the one-step map's
     image of D_(k-1) ∩ its domain, inside the carrier. A translation's power
     is its closed form; any other power applies the step |n| times in a
-    loop. The powers are the one cache.
+    loop. The powers are the one cache, and each power keeps the intervals
+    it has transported.
     """
 
     def __init__(self, generator: PartialBijection):

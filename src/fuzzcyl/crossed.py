@@ -10,7 +10,7 @@ The algebra is the `PartialAction` of its generator: it caches the powers
 alpha^n, from D_-n onto D_n, and reads the chain D_n off their ranges. It
 also keeps, for as long as it lives, what depends on the algebra alone: the
 carrier grid of each size `distance` samples, as a `PointSet` with its masks
-and preimages, and the supports of each twisted-product term.
+and preimages.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .interval import Interval
 from .bijection import PartialAction, PartialBijection, make_family
-from .functions import SUPPORT_TOL, PointSet, SupportedFunction, partial_identity, polynomial, pullback, transported
+from .functions import SUPPORT_TOL, PointSet, SupportedFunction, partial_identity, polynomial, pullback
 
 RESIDUAL_TOL = 1e-9  # largest coefficient residual the relation checks below accept by default
 MAX_STEP = 10_000  # longest chain walk of nilpotency_degree, and largest |n| of a configured term
@@ -35,7 +35,6 @@ class CrossedProductAlgebra(PartialAction):
     def __init__(self, generator: PartialBijection):
         super().__init__(generator)
         self._grids: dict[int, PointSet] = {}
-        self._term_supports: dict[tuple, tuple] = {}
 
     def p(self, n: int) -> SupportedFunction:
         """Indicator coefficient of the n-th chain interval."""
@@ -98,33 +97,16 @@ class CrossedProductAlgebra(PartialAction):
         for n, fn in sorted(x.terms.items()):
             pbn = self.power(n)
             for m, gm in sorted(y.terms.items()):
-                key = (fn.support, gm.support, n, m)
-                supports = self._term_supports.get(key)
-                if supports is None:
-                    supports = self._term_supports[key] = self._term_support(fn.support, gm.support, n, m)
-                if supports:
-                    clip, image, support = supports
-                    g = gm if clip is None else SupportedFunction(clip, gm.raw, gm.carrier, gm.deriv, gm.op, gm.args)
-                    pulled = g._node("pullback", g, pbn, support=image)
-                    steps.setdefault(n + m, []).append(fn._node("product", fn, pulled, support=support))
+                if self.interval_n(n + m).is_empty:
+                    continue
+                term = fn * pullback(gm, pbn)
+                if not term.is_zero:
+                    steps.setdefault(n + m, []).append(term)
         out = {}
         for k, ts in steps.items():
             hull = reduce(Interval.hull, [t.support for t in ts])
             out[k] = ts[0] if len(ts) == 1 else SupportedFunction(hull, None, ts[0].carrier, None, "sum", tuple(ts))
         return self.element(out)
-
-    def _term_support(self, fs: Interval, gs: Interval, n: int, m: int) -> tuple:
-        """What `fn * pullback(gm, self.power(n))` makes of the supports fs of f_n and gs of g_m:
-        (gs clipped to D_-n, None where it lies inside; its image; the term's), or () for a zero term."""
-        if self.interval_n(n + m).is_empty:
-            return ()
-        pbn = self.power(n)
-        clip = gs.intersect(pbn.domain)
-        if clip.is_empty:
-            return ()
-        image = transported(clip, pbn)
-        support = fs.intersect(image)
-        return () if support.is_empty else (None if clip is gs else clip, image, support)
 
     def involution(self, x: "CrossedProductElement") -> "CrossedProductElement":
         self._own(x)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interval import DEFAULT_TOL, EMPTY, Interval, image_monotone
+from .interval import DEFAULT_TOL, EMPTY, Interval
 from .bijection import PartialBijection
 
 RawMap = Callable[[np.ndarray], np.ndarray]
@@ -381,16 +381,11 @@ def _finite(v: complex) -> complex:
 def pullback(f: SupportedFunction, pb: PartialBijection) -> SupportedFunction:
     """Transport f, clipped to pb's domain, along pb: the result at y is
     f(pb^{-1}(y)) on pb's range and zero elsewhere."""
-    f = f.restrict(pb.domain)
-    if f.support.is_empty:
+    clip, image = pb.transport(f.support)
+    if clip.is_empty:
         return zero_function(f.carrier)
-    return f._node("pullback", f, pb, support=transported(f.support, pb))
-
-
-def transported(iv: Interval, pb: PartialBijection) -> Interval:
-    """The image under pb of iv, a nonempty interval inside pb's domain."""
-    # a translation's image is exact, so it needs no sampled monotonicity check
-    return image_monotone(iv, pb.forward) if pb.offset is None else iv.shifted(pb.offset)
+    f = f.restrict(clip)
+    return f._node("pullback", f, pb, support=image)
 
 
 def residual(f: SupportedFunction, g: SupportedFunction) -> float:

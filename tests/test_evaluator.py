@@ -346,6 +346,33 @@ def test_a_second_represent_reads_its_masks_off_the_window(monkeypatch, name):
     assert np.array_equal(second.view(np.uint64), fresh.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", GEOMETRY_FAMILIES)
+def test_a_second_product_reads_its_term_supports_off_the_powers(monkeypatch, name):
+    import fuzzcyl.bijection as bijection
+
+    def terms(name):
+        alg = _geometry_case(name)[0]
+        rng = np.random.default_rng(929)
+        x, y = (random_pair(alg, rng, (-2, -1, 0, 1, 2))[0] for _ in range(2))
+        return alg, x, y
+
+    alg, x, y = terms(name)
+    first = x * y
+    calls = []
+    shifted = Interval.shifted
+    monkeypatch.setattr(Interval, "shifted", lambda self, *args: calls.append(self) or shifted(self, *args))
+    monkeypatch.setattr(bijection, "image_monotone", lambda *args: calls.append(args) or image_monotone(*args))
+    second = x * y
+    assert calls == []  # each power keeps what it made of a support
+    monkeypatch.undo()
+    _, fx, fy = terms(name)
+    fresh = fx * fy
+    assert first.terms.keys() == second.terms.keys() == fresh.terms.keys()
+    for n in first.terms:
+        assert first.terms[n].support == second.terms[n].support == fresh.terms[n].support
+    assert alg.distance(first, second) == 0.0
+
+
 def test_round_trips_keep_no_angle_spectrum_on_the_grid():
     import gc
     import tracemalloc
