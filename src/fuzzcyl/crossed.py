@@ -46,7 +46,7 @@ class CrossedProductAlgebra(PartialAction):
         out: dict[int, SupportedFunction] = {}
         for n, fn in terms.items():
             n = int(n)
-            if fn.carrier != self.carrier:
+            if fn.carrier is not self.carrier and fn.carrier != self.carrier:
                 raise ValueError("coefficient lives on a different carrier interval")
             clipped = fn.restrict(self.interval_n(n))
             if not clipped.support.is_empty:

@@ -9,8 +9,9 @@ set. A crossed product's output step is built from these nodes: a product of
 a coefficient and a pulled-back coefficient, or a sum of such products.
 
 Functions are evaluated on a `PointSet`, which keeps what depends on its
-points alone for as long as it lives: the mask of each support and the
-preimages under each power. An algebra keeps one per grid size for
+points alone for as long as it lives: the mask of each support, the
+preimages under each power, and the points as complex numbers, which
+polynomial leaves read. An algebra keeps one per grid size for
 `distance`, and a `MatrixRep` one for its window; an array passed in gets one
 for the pass. Values live for one pass: evaluations sharing a `memo` dict (a
 top-level call, or one `distance`, `represent`, `CylinderFunction.eval` or
@@ -124,17 +125,24 @@ class SupportedFunction:
 
 class PointSet:
     """Points and the geometry read off them: the mask of each support, keyed by
-    its value, and the preimages under each partial bijection, as child point
-    sets. Values of functions are never kept here; they live in a pass's memo."""
+    its value, the preimages under each partial bijection, as child point
+    sets, and the points as complex numbers. Values of functions are never
+    kept here; they live in a pass's memo."""
 
-    __slots__ = ("xs", "_masks", "_preimages")
+    __slots__ = ("xs", "_masks", "_preimages", "_complex")
 
     def __init__(self, xs: np.ndarray):
-        self.xs, self._masks, self._preimages = xs, {}, {}
+        self.xs, self._masks, self._preimages, self._complex = xs, {}, {}, None
 
     @property
     def size(self) -> int:
         return self.xs.size
+
+    def complex_points(self) -> tuple:
+        """(xs, xs * 0) as complex arrays, built on first use: a polynomial leaf's operands."""
+        if self._complex is None:
+            self._complex = (self.xs.astype(complex), (self.xs * 0).astype(complex))
+        return self._complex
 
     def mask(self, support: Interval) -> tuple:
         """(support.contains(xs), its count)."""
@@ -161,6 +169,10 @@ def _dense(f: SupportedFunction, pts: PointSet, memo: dict) -> np.ndarray:
     mask, count = pts.mask(f.support)
     if not count:
         return np.zeros(pts.xs.shape, dtype=complex)
+    if count < pts.xs.size and f.op == "product":  # the masked store folded into the multiply
+        a = _formula(f.args[0], pts, mask, memo, True)
+        b = _formula(f.args[1], pts, mask, memo, True)
+        return np.multiply(a, b, out=np.zeros(pts.xs.shape, dtype=complex), where=mask)
     vals = _formula(f, pts, mask, memo, True)
     if count < pts.xs.size and f.op != "leaf":
         if f.op in ("memo", "pullback"):  # vals may be a pass entry
@@ -184,11 +196,20 @@ def _formula(f: SupportedFunction, pts: PointSet, mask: np.ndarray, memo: dict, 
     as a central difference reads formulas off the support."""
     op, args, xs = f.op, f.args, pts.xs
     if op == "leaf":
-        if np.count_nonzero(mask) == xs.size:
-            vals = np.asarray(f.raw(xs), dtype=complex)
+        whole = np.count_nonzero(mask) == xs.size
+        # a polynomial reads the point set's complex points, kept with it; not below a
+        # derivative, whose shifted point sets are made per call
+        if inside and type(f.raw) is _Polynomial:
+            x, zero = pts.complex_points()
+            if not whole:
+                x, zero = x[mask], zero[mask]
+            vals = _horner(f.raw.top_down, x, zero)
+        else:
+            vals = np.asarray(f.raw(xs if whole else xs[mask]), dtype=complex)
+        if whole:
             return vals if vals.shape == xs.shape else np.full(xs.shape, vals)
         out = np.zeros(xs.shape, dtype=complex)
-        out[mask] = f.raw(xs[mask])
+        out[mask] = vals
         return out
     if op == "memo":
         return _entry(args[0], pts, memo) if inside else _formula(args[0], pts, mask, memo, False)
@@ -269,27 +290,43 @@ def partial_identity(iv: Interval, carrier: Interval) -> SupportedFunction:
 
 def polynomial(coeffs: Sequence[complex], carrier: Interval, support: Interval | None = None) -> SupportedFunction:
     """Polynomial with ascending coefficients c0 + c1 x + c2 x^2 + ..."""
-    cs = np.asarray(list(coeffs), dtype=complex)
-    if cs.size == 0:
+    coeffs = list(coeffs)
+    if not coeffs:
         return zero_function(carrier)
-    top_down = [complex(c) for c in cs[::-1]]
-    dtop_down = [complex(c) for c in (cs[1:] * np.arange(1, cs.size))[::-1]]
-    return SupportedFunction(
-        support=carrier if support is None else support,
-        raw=lambda xs: _horner(top_down, xs),
-        carrier=carrier,
-        deriv=lambda xs: _horner(dtop_down, xs) if dtop_down else np.zeros(np.shape(xs), complex),
-    )
+    raw = _Polynomial([complex(c) for c in reversed(coeffs)])
+    return SupportedFunction(carrier if support is None else support, raw, carrier, raw.derivative)
 
 
-def _horner(top_down: list[complex], xs) -> np.ndarray:
-    """numpy's polyval(xs, c) for c = top_down reversed, in its own operation
-    order, without its argument handling."""
-    x = np.asarray(xs, dtype=float)
-    c0 = top_down[0] + x * 0
+class _Polynomial:
+    """A polynomial leaf's formula, kept as its coefficients top-down; its
+    derivative's are made on the first `derivative` call."""
+
+    __slots__ = ("top_down", "_dtop_down")
+
+    def __init__(self, top_down: list[complex]):
+        self.top_down, self._dtop_down = top_down, None
+
+    def __call__(self, xs) -> np.ndarray:
+        x = np.asarray(xs, dtype=float)
+        return _horner(self.top_down, x, x * 0)
+
+    def derivative(self, xs) -> np.ndarray:
+        if self._dtop_down is None:
+            cs = np.asarray(self.top_down[::-1], dtype=complex)
+            self._dtop_down = [complex(c) for c in (cs[1:] * np.arange(1, cs.size))[::-1]]
+        x = np.asarray(xs, dtype=float)
+        return _horner(self._dtop_down, x, x * 0) if self._dtop_down else np.zeros(x.shape, complex)
+
+
+def _horner(top_down: list[complex], x: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """numpy's polyval(x, c) for c = top_down reversed, in its own operation
+    order, without its argument handling, in place on one new array. x is a
+    float or complex array of at least one dimension, and zero is x * 0."""
+    vals = top_down[0] + zero
     for c in top_down[1:]:
-        c0 = c + c0 * x
-    return c0
+        np.multiply(vals, x, out=vals)
+        np.add(c, vals, out=vals)
+    return vals
 
 
 def exp_wave(k: float, carrier: Interval, support: Interval | None = None) -> SupportedFunction:

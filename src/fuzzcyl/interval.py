@@ -191,6 +191,8 @@ class Interval:
         """self ∩ other; an operand that already is the result is returned as is."""
         if self.is_empty or other.is_empty:
             return EMPTY
+        if other is self:
+            return self
         if self.subset_of(other):
             return self
         if other.subset_of(self):

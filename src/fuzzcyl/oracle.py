@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .bijection import SemigroupElement
-from .represent import MatrixRep, OrbitSpec, add_step_term, build_orbit
+from .represent import MatrixRep, OrbitSpec, build_orbit
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,10 @@ def oracle_covariant_rep(alpha: FinitePartialBijection, base: int) -> MatrixRep:
 
 
 def oracle_represent(x: FiniteAlgebraElement, rep: MatrixRep) -> np.ndarray:
-    """Scatter each coefficient along its step's links, as represent does on interval orbits."""
+    """Add each coefficient along its step's diagonals, as represent does on interval orbits."""
     out = np.zeros((rep.dim, rep.dim), complex)
     for n, vec in x.terms.items():
-        add_step_term(out, rep.links(n), vec[rep.orbit.points])
+        rep.add_step_term(out, n, vec[rep.orbit.points])
     return out
 
 

@@ -110,6 +110,15 @@ class TestAlgebraCheck:
         assert len(d["element_pairs"]) == 16 and all(r["pass"] for r in d["element_pairs"])
         assert max(r["residual"] for r in d["element_pairs"]) > 1e6
 
+    def test_covariance_on_an_expanding_window_passes(self, tmp_path):
+        # the window reaches about 1e22, where one ulp of a moved sample is far above the tolerance
+        grow = {"kind": "custom", "interval": "[1, inf)", "hbar": 0.5, "forward": "x + h*x", "inverse": "x/(1 + h)"}
+        cfg = write_config(tmp_path, {"family": grow, "base_point": 1.5, "random_elements": 4, "seed": 1})
+        code, d = run_json(tmp_path, ["algebra-check", "--config", cfg])
+        assert code == 0
+        assert all(row["pass"] for row in d["covariance"]["steps"])
+        assert max(row["conjugation_residual"] for row in d["covariance"]["steps"]) > 1.0
+
     def test_seed_gives_byte_identical_output(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, random_elements=3))
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"

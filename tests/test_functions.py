@@ -172,6 +172,31 @@ OFF_CONTRACT_LEAVES = {
 }
 
 
+def test_polynomial_leaf_on_a_point_set_matches_polyval_bit_for_bit():
+    # the leaf kernel reads the point set's complex points, under a partial mask and a whole one
+    from fuzzcyl.functions import PointSet
+
+    rng = np.random.default_rng(17)
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, -1.25, 3.0, 1e300, -7e-310])
+    finite = xs[np.isfinite(xs)]
+    parts = [0.0, -0.0, 1.0, -2.5, np.inf, np.nan]
+    partial = Interval.closed(-2.0, 1.0)
+    for degree in range(6):
+        for _ in range(20):
+            cs = [complex(rng.choice(parts) if rng.random() < 0.5 else rng.normal(),
+                          rng.choice(parts) if rng.random() < 0.5 else rng.normal()) for _ in range(degree + 1)]
+            with np.errstate(all="ignore"):
+                got = polynomial(cs, UNIT, support=partial)(PointSet(xs))
+                inside = partial.contains(xs)
+                want = np.zeros(xs.shape, dtype=complex)
+                want[inside] = np.polynomial.polynomial.polyval(xs[inside], np.asarray(cs))
+                assert 0 < np.count_nonzero(inside) < xs.size
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cs
+                got = polynomial(cs, UNIT, support=Interval.real_line())(PointSet(finite))
+                want = np.polynomial.polynomial.polyval(finite, np.asarray(cs))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cs
+
+
 @pytest.mark.parametrize("name", OFF_CONTRACT_LEAVES)
 def test_off_contract_leaf_on_every_point_matches_a_scatter(name):
     from fuzzcyl.functions import SupportedFunction

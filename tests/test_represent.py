@@ -206,12 +206,13 @@ def dense_covariance_check(alg, orbit, V, ns, tol=1e-10):
         Vn = dense_power(V, n)
         excl = excluded_indices(orbit, n)
         keep = np.array([i for i in range(orbit.dim) if i not in excl], dtype=int)
-        conj_res = 0.0
+        conj_res, scale = 0.0, 1.0
         for f in [polynomial([0.5, 1.0, 0.75j], alg.carrier)]:
             fr = f.restrict(alg.interval_n(-n))
             lhs = Vn @ np.diag(fr(pts)) @ Vn.T.conj()
             moved = np.diag(pullback(fr.restrict(pb.domain), pb)(pts))
             conj_res = max(conj_res, masked_max(lhs - moved, keep))
+            scale = max(scale, masked_max(moved, keep))
         PnV, QnV = Vn @ Vn.T.conj(), Vn.T.conj() @ Vn
         in_range = alg.interval_n(n).contains(pts, DEFAULT_TOL).astype(complex)
         in_domain = alg.interval_n(-n).contains(pts, DEFAULT_TOL).astype(complex)
@@ -229,7 +230,7 @@ def dense_covariance_check(alg, orbit, V, ns, tol=1e-10):
             "excluded_indices": sorted(excl),
         }
         row["pass"] = bool(
-            conj_res <= tol and zero_one and row["range_projection_exact"]
+            conj_res <= tol * scale and zero_one and row["range_projection_exact"]
             and row["domain_projection_exact"] and row["indicator_matches_projection"]
         )
         ok_all = ok_all and row["pass"]
@@ -304,6 +305,39 @@ class TestIndexMapsMatchDenseMatrices:
         report = covariance_check(alg, rep, ns=ns)
         assert report["pass"], report
         assert report == dense_covariance_check(alg, orbit, dense_V(orbit), ns)
+
+
+def fancy_represent(x, rep):
+    """represent written with a gather and a scatter-add over V^n's links."""
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for n, fn in x.terms.items():
+        images, sources = rep.links(n)
+        out[images, sources] += fn(rep.orbit.points)[images]
+    return out
+
+
+@pytest.mark.parametrize("name", ["full_path", "truncated", "closed_point"])
+def test_represent_matches_the_fancy_index_construction_bit_for_bit(name):
+    if name == "closed_point":  # x^2 fixes 1: the window is that point alone, closed
+        fam = make_family("custom", UNIT, 0.1, forward="x^2", inverse="sqrt(x)")
+        alg = CrossedProductAlgebra(fam.generator)
+        orbit = build_orbit(alg.alpha, 1.0)
+        assert orbit.closed and orbit.dim == 1
+    else:
+        alg, orbit = window({"full_path": "shift_unit", "truncated": "shift_line_truncated"}[name])
+        assert not orbit.closed and orbit.dim > 1
+    rep, dim = matrix_rep(orbit), orbit.dim
+    negative_zero = -polynomial([0.0], alg.carrier)  # -1 * (0 + 0j) has real part -0.0
+    assert np.all(np.signbit(negative_zero(orbit.points).real))
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        steps = [1, -2, dim - 1, dim, -dim, dim + 3, -dim - 2]
+        terms = {n: polynomial(rng.normal(size=3) + 1j * rng.normal(size=3), alg.carrier) for n in steps}
+        terms[0] = negative_zero
+        x = alg.element(terms)
+        assert any(abs(n) >= dim for n in x.terms) or name == "full_path"
+        got, want = represent(x, rep), fancy_represent(x, rep)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestDiscOrbitsAreSingleChains:

@@ -7,9 +7,11 @@ processes each import one tree's `src` and `bench/workloads.py`: one for
 TREE and two for BASE. Each builds the workload and runs round 0 as a
 warm-up. Then pair i runs round i in every child, one child at a time, with
 the order reversed on every other pair. Per child and round it times the
-ops (the sum of the `op.run` calls) and the round (`make_round` plus the
-ops). It prints, for both, the median TREE/BASE ratio over the pairs with
-its quartiles, and the same for the second BASE child against the first: an
+ops (the sum of the `op.run` calls) in wall time and in thread CPU time
+(`time.thread_time`), the round (`make_round` plus the ops), and the p50 and
+p90 of the round's per-op latencies, as the benchmark computes them. It
+prints, for each, the median TREE/BASE ratio over the pairs with its
+quartiles, and the same for the second BASE child against the first: an
 A/A that shows how far identical code spreads on this machine. It only
 reports, and exits 0 whatever it measures.
 """
@@ -29,6 +31,7 @@ def _child(tree: str, workload: str, seed: int, size: str) -> None:
     """Serve rounds on stdin: each line is a round index, each answer a JSON line."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import fuzzcyl
+    import numpy as np
     import workloads
 
     assert fuzzcyl.__file__.startswith(tree), fuzzcyl.__file__
@@ -37,15 +40,18 @@ def _child(tree: str, workload: str, seed: int, size: str) -> None:
         for line in sys.stdin:
             t0 = time.perf_counter()
             ops = wl.make_round(int(line))
-            op_s, failed = 0.0, 0
+            latencies, op_cpu_s, failed = [], 0.0, 0
             for op in ops:
-                t = time.perf_counter()
+                c, t = time.thread_time(), time.perf_counter()
                 try:
                     op.run()
                 except Exception:
                     failed += 1
-                op_s += time.perf_counter() - t
-            print(json.dumps({"op_s": op_s, "round_s": time.perf_counter() - t0, "failed": failed}), flush=True)
+                latencies.append(time.perf_counter() - t)
+                op_cpu_s += time.thread_time() - c
+            p50, p90 = np.percentile(latencies, (50, 90))
+            print(json.dumps({"op_s": sum(latencies), "op_cpu_s": op_cpu_s, "round_s": time.perf_counter() - t0,
+                              "p50_s": p50, "p90_s": p90, "failed": failed}), flush=True)
 
 
 def _quartiles(ratios: list[float]) -> str:
@@ -91,12 +97,13 @@ def main(argv: list[str]) -> None:
         child.stdin.close()
         child.wait()
     print(f"{args.workload}, seed {args.seed}, size {args.size}, {args.pairs} pairs (rounds 1-{args.pairs})")
-    for key, label in (("op_s", "op time"), ("round_s", "round time")):
+    for key, label in (("op_s", "op time"), ("op_cpu_s", "op thread CPU"), ("round_s", "round time"),
+                       ("p50_s", "op p50"), ("p90_s", "op p90")):
         ratio = lambda a, b: [x[key] / y[key] for x, y in zip(got[a], got[b])]
         mean_ms = {name: 1e3 * sum(x[key] for x in got[name]) / args.pairs for name in names}
         print(f"{label}: TREE/BASE {_quartiles(ratio('tree', 'base'))};"
               f" A/A BASE/BASE {_quartiles(ratio('base2', 'base'))};"
-              f" mean ms per round TREE {mean_ms['tree']:.1f}, BASE {mean_ms['base']:.1f}")
+              f" mean ms per round TREE {mean_ms['tree']:.4g}, BASE {mean_ms['base']:.4g}")
     failed = {name: sum(x["failed"] for x in got[name]) for name in names}
     if any(failed.values()):
         print(f"ops that raised: {failed}")
