@@ -208,7 +208,7 @@ def _cmd_rep(cfg: RunConfig) -> tuple[dict, bool]:
     payload = {
         "dim": rep.dim,
         "points": [float(p) for p in orbit.points],
-        "V": rep.V,
+        "V": rep.V.astype(complex),  # reported as complex pairs, like the elements
         "elements": mats,
     }
     return payload, True

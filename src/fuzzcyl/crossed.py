@@ -71,13 +71,21 @@ class CrossedProductAlgebra(PartialAction):
 
         Each D_n comes from D_(n-1) alone, so a D_n equal to D_(n-1) repeats
         for ever: the walk stops there with None. A translation's D_n on an
-        unbounded carrier is a half-line or the line, never empty.
+        unbounded carrier is a half-line or the line, never empty. So is a D_n
+        whose finite end the step sends past the float range, as 2x sends
+        [2^1023, inf) on [1, inf): the walk stops there with None too.
         """
         if self.alpha.offset is not None and not self.carrier.is_bounded:
             return None
         prev = self.carrier
         for n in range(1, MAX_STEP + 1):
-            d = self.interval_n(n)
+            try:
+                d = self.interval_n(n)
+            except ValueError:
+                mid = prev.intersect(self.alpha.domain)
+                if self.carrier.is_bounded or not np.all(np.isinf(self.alpha.apply([mid.lo, mid.hi]))):
+                    raise
+                return None
             if d.is_empty:
                 return n
             if d == prev:

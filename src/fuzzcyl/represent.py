@@ -7,7 +7,7 @@ when its last point maps to its first, so V^n has a closed form: it sends
 basis vector j to j + n, taken mod dim on a closed window, and to nothing
 where j + n leaves a path. An element's matrix adds each sampled
 coefficient along its step's diagonals, as strided views of the matrix;
-dense 0/1 matrices of V and its powers are built only on request. A
+dense 0/1 matrices of V and its powers are real, built only on request. A
 forward walk that stalls at a point the bijection fixes ends the window
 there, as truncated. On full orbits this is an exact *-homomorphism; on
 truncated windows the outermost indices of each cut side see wrong
@@ -143,9 +143,8 @@ class MatrixRep:
         return out
 
     def step_power(self, n: int) -> np.ndarray:
-        """Dense 0/1 matrix of V^n (V*^|n| for negative n)."""
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        return self.add_step_term(dense, n, np.ones(self.dim))
+        """Dense real 0/1 matrix of V^n (V*^|n| for negative n)."""
+        return self.add_step_term(np.zeros((self.dim, self.dim)), n, np.ones(self.dim))
 
     @property
     def V(self) -> np.ndarray:

@@ -149,6 +149,23 @@ class TestProducts:
             for kind in ("shift", "plane_plus"):
                 assert CrossedProductAlgebra(make_family(kind, carrier, 1e-6).generator).nilpotency_degree() is None
 
+    def test_nilpotency_stops_where_a_chain_end_overflows(self):
+        # D_n = [2^n, inf) on [1, inf) never empties, but 2x sends D_1023's end past the float range
+        for carrier, end in ((Interval.at_least(1.0), "lo"), (Interval.parse("(-inf, -1]"), "hi")):
+            alg = CrossedProductAlgebra(make_family("custom", carrier, 0.1, forward="2*x", inverse="x/2").generator)
+            assert alg.nilpotency_degree() is None
+            assert abs(getattr(alg.interval_n(1023), end)) == 2.0**1023
+
+    def test_nilpotency_keeps_other_chain_errors(self, monkeypatch):
+        alg = CrossedProductAlgebra(make_family("custom", Interval.at_least(1.0), 0.1, forward="2*x", inverse="x/2").generator)
+
+        def refuse(n):
+            raise ValueError("map is not strictly increasing on sampled grid")
+
+        monkeypatch.setattr(alg, "interval_n", refuse)
+        with pytest.raises(ValueError, match="sampled grid"):
+            alg.nilpotency_degree()
+
     def test_associativity_random(self):
         rng = np.random.default_rng(101)
         cyl = quarter_cylinder()

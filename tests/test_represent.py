@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_cp_element
 from fuzzcyl.interval import DEFAULT_TOL, Interval
 from fuzzcyl.bijection import make_family
+from fuzzcyl.cli import main
 from fuzzcyl.crossed import CrossedProductAlgebra, Cylinder
 from fuzzcyl.functions import polynomial, pullback
+from fuzzcyl.oracle import FinitePartialBijection, oracle_covariant_rep
 from fuzzcyl.represent import (
     _centered_window,
     build_orbit,
@@ -316,8 +320,8 @@ def fancy_represent(x, rep):
     return out
 
 
-@pytest.mark.parametrize("name", ["full_path", "truncated", "closed_point"])
-def test_represent_matches_the_fancy_index_construction_bit_for_bit(name):
+def link_window(name):
+    """A full path, a path truncated at both ends, or a closed window."""
     if name == "closed_point":  # x^2 fixes 1: the window is that point alone, closed
         fam = make_family("custom", UNIT, 0.1, forward="x^2", inverse="sqrt(x)")
         alg = CrossedProductAlgebra(fam.generator)
@@ -326,6 +330,15 @@ def test_represent_matches_the_fancy_index_construction_bit_for_bit(name):
     else:
         alg, orbit = window({"full_path": "shift_unit", "truncated": "shift_line_truncated"}[name])
         assert not orbit.closed and orbit.dim > 1
+    return alg, orbit
+
+
+LINK_WINDOWS = ["full_path", "truncated", "closed_point"]
+
+
+@pytest.mark.parametrize("name", LINK_WINDOWS)
+def test_represent_matches_the_fancy_index_construction_bit_for_bit(name):
+    alg, orbit = link_window(name)
     rep, dim = matrix_rep(orbit), orbit.dim
     negative_zero = -polynomial([0.0], alg.carrier)  # -1 * (0 + 0j) has real part -0.0
     assert np.all(np.signbit(negative_zero(orbit.points).real))
@@ -338,6 +351,31 @@ def test_represent_matches_the_fancy_index_construction_bit_for_bit(name):
         assert any(abs(n) >= dim for n in x.terms) or name == "full_path"
         got, want = represent(x, rep), fancy_represent(x, rep)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", LINK_WINDOWS + ["closed_cycle"])
+def test_step_matrices_are_real_zero_one_links(name):
+    if name == "closed_cycle":  # the finite oracle's 5-cycle: a closed window of dim 5
+        rep = oracle_covariant_rep(FinitePartialBijection(5, {i: (i + 1) % 5 for i in range(5)}), 2)
+        assert rep.orbit.closed
+    else:
+        rep = matrix_rep(link_window(name)[1])
+    dim = rep.dim
+    steps = [0, 1, -1, 2, -2, dim - 1, 1 - dim, dim, -dim, dim + 3, -dim - 2]
+    for n, got in [(n, rep.step_power(n)) for n in steps] + [(1, rep.V), (-1, rep.Vstar)]:
+        assert got.dtype == np.float64 and got.nbytes == 8 * dim**2, n
+        want = np.zeros((dim, dim))
+        want[rep.links(n)] = 1.0
+        assert np.array_equal(got, want), n
+
+
+def test_rep_report_writes_V_as_complex_pairs(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.25},
+                               "base_point": 0.125, "truncation": 8}))
+    assert main(["rep", "--config", str(cfg), "--out", str(out)]) == 0
+    V = matrix_rep(build_orbit(Cylinder("finite", UNIT, 0.25).alpha, 0.125)).V
+    assert json.loads(out.read_text())["V"] == [[[v, 0.0] for v in row] for row in V.tolist()]
 
 
 class TestDiscOrbitsAreSingleChains:

@@ -8,12 +8,15 @@ TREE and two for BASE. Each builds the workload and runs round 0 as a
 warm-up. Then pair i runs round i in every child, one child at a time, with
 the order reversed on every other pair. Per child and round it times the
 ops (the sum of the `op.run` calls) in wall time and in thread CPU time
-(`time.thread_time`), the round (`make_round` plus the ops), and the p50 and
-p90 of the round's per-op latencies, as the benchmark computes them. It
-prints, for each, the median TREE/BASE ratio over the pairs with its
+(`time.thread_time`), the round (`make_round`, the ops and the untimed
+`op.check` of each result), the p50 and p90 of the round's per-op
+latencies, as the benchmark computes them, and the op time of each op name.
+It prints, for each, the median TREE/BASE ratio over the pairs with its
 quartiles, and the same for the second BASE child against the first: an
-A/A that shows how far identical code spreads on this machine. It only
-reports, and exits 0 whatever it measures.
+A/A that shows how far identical code spreads on this machine. Op names are
+listed largest first, until they cover 80% of BASE's op time. Last it
+prints each child's peak RSS (`ru_maxrss`) after its rounds, as TREE/BASE
+beside BASE2/BASE. It only reports, and exits 0 whatever it measures.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,18 +44,26 @@ def _child(tree: str, workload: str, seed: int, size: str) -> None:
         for line in sys.stdin:
             t0 = time.perf_counter()
             ops = wl.make_round(int(line))
-            latencies, op_cpu_s, failed = [], 0.0, 0
+            latencies, by_name, op_cpu_s, failed = [], {}, 0.0, 0
             for op in ops:
                 c, t = time.thread_time(), time.perf_counter()
                 try:
-                    op.run()
+                    result, ok = op.run(), True
                 except Exception:
-                    failed += 1
+                    ok = False
                 latencies.append(time.perf_counter() - t)
+                by_name[op.name] = by_name.get(op.name, 0.0) + latencies[-1]
                 op_cpu_s += time.thread_time() - c
+                try:  # untimed, as in the benchmark, whose peak RSS it is part of
+                    ok = ok and bool(op.check(result))
+                except Exception:
+                    ok = False
+                failed += not ok
             p50, p90 = np.percentile(latencies, (50, 90))
+            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
             print(json.dumps({"op_s": sum(latencies), "op_cpu_s": op_cpu_s, "round_s": time.perf_counter() - t0,
-                              "p50_s": p50, "p90_s": p90, "failed": failed}), flush=True)
+                              "p50_s": p50, "p90_s": p90, "by_name": by_name, "rss_mb": rss_mb,
+                              "failed": failed}), flush=True)
 
 
 def _quartiles(ratios: list[float]) -> str:
@@ -97,16 +109,30 @@ def main(argv: list[str]) -> None:
         child.stdin.close()
         child.wait()
     print(f"{args.workload}, seed {args.seed}, size {args.size}, {args.pairs} pairs (rounds 1-{args.pairs})")
+    # op names, largest BASE op time first, until they cover 80% of it
+    base_s = {op: sum(x["by_name"][op] for x in got["base"]) for op in got["base"][0]["by_name"]}
+    total_s, covered, top = sum(base_s.values()), 0.0, []
+    for op in sorted(base_s, key=lambda op: (-base_s[op], op)):
+        if covered >= 0.8 * total_s:
+            break
+        top.append((op, f"op {op} ({base_s[op] / total_s:.0%} of BASE op time)"))
+        covered += base_s[op]
+    for x in (x for rounds in got.values() for x in rounds):
+        x.update(x.pop("by_name"))
     for key, label in (("op_s", "op time"), ("op_cpu_s", "op thread CPU"), ("round_s", "round time"),
-                       ("p50_s", "op p50"), ("p90_s", "op p90")):
+                       ("p50_s", "op p50"), ("p90_s", "op p90"), *top):
         ratio = lambda a, b: [x[key] / y[key] for x, y in zip(got[a], got[b])]
         mean_ms = {name: 1e3 * sum(x[key] for x in got[name]) / args.pairs for name in names}
         print(f"{label}: TREE/BASE {_quartiles(ratio('tree', 'base'))};"
               f" A/A BASE/BASE {_quartiles(ratio('base2', 'base'))};"
               f" mean ms per round TREE {mean_ms['tree']:.4g}, BASE {mean_ms['base']:.4g}")
+    rss = {name: got[name][-1]["rss_mb"] for name in names}
+    print(f"peak RSS after the rounds: TREE/BASE {rss['tree'] / rss['base']:.3f};"
+          f" A/A BASE2/BASE {rss['base2'] / rss['base']:.3f};"
+          f" MB TREE {rss['tree']:.2f}, BASE {rss['base']:.2f}, BASE2 {rss['base2']:.2f}")
     failed = {name: sum(x["failed"] for x in got[name]) for name in names}
     if any(failed.values()):
-        print(f"ops that raised: {failed}")
+        print(f"ops that raised or failed their check: {failed}")
 
 
 if __name__ == "__main__":
