@@ -3,9 +3,11 @@
 A partial bijection is a strictly monotone homeomorphism between two
 subintervals of a fixed carrier interval. Closed-form forward and inverse
 callables are stored side by side; nothing in the library ever inverts a map
-numerically. A generator acts partially on its carrier (`PartialAction`):
-its power alpha^n maps the chain interval D_-n onto D_n, and each D_k is one
-image of D_(k-1), so the chain controls which group words survive.
+numerically. A map is checked to be monotone once, where it is built from
+callables; later images under it are read off two end images. A generator
+acts partially on its carrier (`PartialAction`): its power alpha^n maps the
+chain interval D_-n onto D_n, and each D_k is one image of D_(k-1), so the
+chain controls which group words survive.
 `canonicalize` reduces an arbitrary word in the generator to the normal form
 (idempotent pair, net power).
 """
@@ -53,13 +55,11 @@ class PartialBijection:
         return self.domain.is_empty
 
     def transport(self, iv: Interval) -> tuple[Interval, Interval]:
-        """(iv ∩ domain, its image), kept on the map for each iv met."""
+        """(iv ∩ domain, its image read off the clip's two end images), kept on the map for each iv met."""
         hit = self._images.get(iv)
         if hit is None:
             clip = iv.intersect(self.domain)
-            # a translation's image is exact, so it needs no sampled monotonicity check
-            image = image_monotone(clip, self.forward) if self.offset is None else clip.shifted(self.offset)
-            hit = self._images[iv] = (clip, image)
+            hit = self._images[iv] = (clip, clip.image(self.forward))
         return hit
 
     def apply(self, x):
@@ -136,16 +136,15 @@ def translation_power(carrier: Interval, offset: float, k: int) -> PartialBiject
     between its ends if both are closed, else empty.
     """
     d = k * offset
+    fwd, inv = lambda x: np.asarray(x, dtype=float) + d, lambda y: np.asarray(y, dtype=float) - d
     lo, hi = carrier.lo, carrier.hi
     if carrier.is_bounded and abs(abs(d) - carrier.width) <= k * _EPS * (abs(d) + abs(lo) + abs(hi)):
         d = math.copysign(carrier.width, d)
         ends = (Interval.point(lo), Interval.point(hi)) if carrier.lo_closed and carrier.hi_closed else (EMPTY, EMPTY)
         dom, rng = ends if d > 0 else ends[::-1]
     else:
-        dom, rng = carrier.intersect(carrier.shifted(-d)), carrier.intersect(carrier.shifted(d))
-    return PartialBijection(
-        carrier, dom, rng, lambda x: np.asarray(x, dtype=float) + d, lambda y: np.asarray(y, dtype=float) - d, d
-    )
+        dom, rng = carrier.intersect(carrier.image(inv)), carrier.intersect(carrier.image(fwd))
+    return PartialBijection(carrier, dom, rng, fwd, inv, d)
 
 
 class PartialAction:
@@ -154,10 +153,11 @@ class PartialAction:
     alpha^n maps D_-n onto D_n, so the chain is read off the powers: D_n is
     the range of alpha^n and D_-n its domain. D_1 and D_-1 are the
     generator's range and domain, and each later D_k is the one-step map's
-    image of D_(k-1) ∩ its domain, inside the carrier. A translation's power
-    is its closed form; any other power applies the step |n| times in a
-    loop. The powers are the one cache, and each power keeps the intervals
-    it has transported.
+    image of D_(k-1) ∩ its domain, inside the carrier, read off its two end
+    images: a sliver D_k whose ends map to one float gives that point. A
+    translation's power is its closed form; any other power applies the step
+    |n| times in a loop. The powers are the one cache, and each power keeps
+    the intervals it has transported.
     """
 
     def __init__(self, generator: PartialBijection):
@@ -173,7 +173,7 @@ class PartialAction:
         """The one-step map's image of D_(sign (k-1)) ∩ its domain, inside the carrier."""
         step = self._powers[sign]
         mid = self._powers[sign * (k - 1)].range.intersect(step.domain)
-        return EMPTY if mid.is_empty else image_monotone(mid, step.forward).intersect(self.carrier)
+        return mid.image(step.forward).intersect(self.carrier)
 
     def power(self, n: int) -> PartialBijection:
         """alpha^n, from D_-n onto D_n; a miss reads a translation's closed form, or fills out to |n|.

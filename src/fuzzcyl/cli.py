@@ -157,8 +157,7 @@ def _coefficients(desc: dict, carrier, build):
 @contextlib.contextmanager
 def _chain_errors():
     """A ValueError raised while products, adjoints or covariance walk the chain
-    is a ConfigError, as in _coefficients: floats cannot resolve the chain, e.g.
-    a sliver D_n whose two ends map to one image."""
+    is a ConfigError, as in _coefficients: floats cannot resolve the chain."""
     try:
         yield
     except ConfigError:

@@ -198,7 +198,7 @@ def _formula(f: SupportedFunction, pts: PointSet, mask: np.ndarray, memo: dict, 
     if op == "leaf":
         whole = np.count_nonzero(mask) == xs.size
         # a polynomial reads the point set's complex points, kept with it; not below a
-        # derivative, whose shifted point sets are made per call
+        # derivative, whose offset point sets (x ± step) are made per call
         if inside and type(f.raw) is _Polynomial:
             x, zero = pts.complex_points()
             if not whole:

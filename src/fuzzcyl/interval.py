@@ -4,7 +4,8 @@ Endpoints are ordinary binary floats. Emptiness is a flag, never an inverted
 endpoint pair, so degenerate arithmetic cannot silently produce a "negative"
 interval. Membership tests take a tolerance: closed endpoints are widened by
 it, open endpoints stay strict after widening the complement, and tol=0 gives
-exact set membership.
+exact set membership. A strictly monotone map sends ends to ends, so an
+image is read off the two end images (`Interval.image`).
 """
 
 from __future__ import annotations
@@ -241,14 +242,20 @@ class Interval:
         above = Interval(other.hi, _INF, not other.hi_closed, False) if other.hi != _INF else EMPTY
         return [p for p in (self.intersect(below), self.intersect(above)) if not p.is_empty]
 
-    def shifted(self, offset: float) -> "Interval":
-        """Image under x -> x + offset: the floats `image_monotone` gives, without its sampled check."""
+    def image(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Interval":
+        """Image under a map known to be strictly monotone and continuous, read off its two end images.
+
+        Ends keep their flags (a decreasing map swaps them), infinite images are
+        open, ends whose images are one float give that point, and a NaN raises.
+        """
         if self.is_empty:
             return EMPTY
-        lo, hi = self.lo + offset, self.hi + offset
-        if lo == hi:
-            return Interval.point(lo)
-        return Interval(lo, hi, self.lo_closed and math.isfinite(lo), self.hi_closed and math.isfinite(hi))
+        a, b = np.asarray(fn(np.array([self.lo, self.hi])), dtype=float).tolist()
+        if a == b:
+            return Interval.point(a)
+        if a < b:
+            return Interval(a, b, self.lo_closed and math.isfinite(a), self.hi_closed and math.isfinite(b))
+        return Interval(b, a, self.hi_closed and math.isfinite(b), self.lo_closed and math.isfinite(a))
 
     # -- sampling -----------------------------------------------------
 
@@ -285,35 +292,29 @@ class Interval:
 EMPTY = Interval(0.0, 0.0, False, False, True)
 
 
-def _strictly_increasing(xs: np.ndarray) -> bool:
-    return bool(np.all(np.diff(xs) > 0))
-
-
 def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray]) -> Interval:
-    """Image of an interval under a strictly monotone continuous map.
+    """Image of an interval under a map checked here to be strictly monotone and continuous.
 
     Endpoint images determine orientation; a check on 33 interior grid
     points rejects maps that step against it between samples. Neighbouring
     samples whose images round to the same float pass, so a valid map is
-    never refused at ulp scale. Equal endpoint images are refused unless the interval is a few
-    ulps wide (no strictly increasing sample grid), where they give a point.
-    Open/closed endpoints map to open/closed images (infinite images are open).
+    never refused at ulp scale. Equal endpoint images are refused unless the
+    interval is a few ulps wide (no strictly increasing sample grid). The
+    image itself is `Interval.image`'s.
     """
-    if iv.is_empty:
-        return EMPTY
+    if iv.is_empty or iv.is_degenerate:
+        return iv.image(fn)
     a = float(fn(np.asarray(iv.lo, dtype=float)))
     if math.isnan(a):
         raise ValueError(f"map undefined at endpoint {iv.lo}")
-    if iv.is_degenerate:
-        return Interval.point(a)
     b = float(fn(np.asarray(iv.hi, dtype=float)))
     if math.isnan(b):
         raise ValueError(f"map undefined at endpoint {iv.hi}")
     xs = iv.grid(35)[1:-1]
     if a == b:
-        if _strictly_increasing(xs):
+        if np.all(np.diff(xs) > 0):
             raise ValueError("map is not strictly monotone: equal endpoint images")
-        return Interval.point(a)
+        return iv.image(fn)
     increasing = a < b
     ys = np.asarray(fn(xs), dtype=float)
     if np.any(np.isnan(ys)):
@@ -322,12 +323,4 @@ def image_monotone(iv: Interval, fn: Callable[[np.ndarray], np.ndarray]) -> Inte
     if not np.all(d >= 0 if increasing else d <= 0):
         direction = "increasing" if increasing else "decreasing"
         raise ValueError(f"map is not strictly {direction} on sampled grid")
-    if increasing:
-        lo, hi, lo_c, hi_c = a, b, iv.lo_closed, iv.hi_closed
-    else:
-        lo, hi, lo_c, hi_c = b, a, iv.hi_closed, iv.lo_closed
-    if not math.isfinite(lo):
-        lo_c = False
-    if not math.isfinite(hi):
-        hi_c = False
-    return Interval(lo, hi, lo_c, hi_c)
+    return iv.image(fn)

@@ -168,14 +168,34 @@ SLIVER = {"family": {"kind": "custom", "interval": "[0, 1]", "hbar": 1 / 3, "for
                      "inverse": "(x - h)/2"}, "base_point": 0.1, "random_elements": 4, "seed": 1}
 
 
-@pytest.mark.parametrize("command", ["algebra-check", "oracle"])
-def test_chain_sliver_exits_two(tmp_path, command):
+def test_chain_sliver_computes(tmp_path):
     cfg_path = tmp_path / "sliver.cfg.json"
     cfg_path.write_text(json.dumps(SLIVER))
+    reports = {}
+    for command in ("algebra-check", "oracle"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text())
+    check = reports["algebra-check"]
+    assert check["relations"]["pass"] and check["covariance"]["pass"]
+    assert check["element_pairs"] and all(row["pass"] for row in check["element_pairs"])
+    assert max(row["residual"] for row in check["element_pairs"]) <= 1e-12
+    assert reports["oracle"]["pass"] is True and reports["oracle"]["max_element_diff"] <= 1e-12
+
+
+# on [1, inf) 2*x sends D_1023 = [2^1023, inf) past the float range: the product of two step-600 terms needs D_1200
+CHAIN_PAST_FLOATS = {"family": {"kind": "custom", "interval": "[1, inf)", "hbar": 0.1, "forward": "2*x", "inverse": "x/2"},
+                     "base_point": 1.5, "truncation": 8, "elements": [{"terms": {"600": {"type": "const", "value": 1.0}}}]}
+
+
+def test_product_past_the_float_range_exits_two(tmp_path):
+    cfg_path = tmp_path / "past_floats.cfg.json"
+    cfg_path.write_text(json.dumps(CHAIN_PAST_FLOATS))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+        assert main(["algebra-check", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
     _one_error_line(err)
+    assert json.loads(err.getvalue())["error"] == "chain cannot be computed for this family"
 
 
 # 1e308 + 1e308 x overflows on the carrier

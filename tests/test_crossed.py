@@ -160,11 +160,25 @@ class TestProducts:
         alg = CrossedProductAlgebra(make_family("custom", Interval.at_least(1.0), 0.1, forward="2*x", inverse="x/2").generator)
 
         def refuse(n):
-            raise ValueError("map is not strictly increasing on sampled grid")
+            raise ValueError("interval endpoint is NaN")
 
         monkeypatch.setattr(alg, "interval_n", refuse)
-        with pytest.raises(ValueError, match="sampled grid"):
+        with pytest.raises(ValueError, match="endpoint is NaN"):
             alg.nilpotency_degree()
+
+    @pytest.mark.parametrize("q", [3, 7, 15])
+    def test_products_through_a_sliver_chain_member(self, q):
+        # at h = 1/q a chain member of 2*x + h rounds to a sub-ulp sliver such as [0, 2.8e-17],
+        # whose ends map to one float: its image is that point, and every product computes
+        from fuzzcyl.cli import _random_elements
+
+        fam = make_family("custom", UNIT, 1 / q, forward="2*x + h", inverse="(x - h)/2")
+        alg = CrossedProductAlgebra(fam.generator)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            x, y, z = _random_elements(alg, rng, 3)
+            assert alg.distance((x * y) * z, x * (y * z)) <= 1e-12
+            assert alg.distance((x * y).adjoint(), y.adjoint() * x.adjoint()) <= 1e-12
 
     def test_associativity_random(self):
         rng = np.random.default_rng(101)

@@ -295,7 +295,7 @@ def test_a_restricted_copy_shares_its_originals_pass_entry():
     assert seen == [on_child[0]]
 
 
-# a translation, and a map whose pullbacks take their supports from image_monotone
+# a translation, whose powers are closed forms, and a map whose powers iterate the step
 GEOMETRY_FAMILIES = {
     "shift": ("shift", UNIT, 0.125, {}),
     "expanding_affine": ("custom", UNIT, 0.125, {"forward": "x + h*x", "inverse": "x/(1 + h)"}),
@@ -348,8 +348,6 @@ def test_a_second_represent_reads_its_masks_off_the_window(monkeypatch, name):
 
 @pytest.mark.parametrize("name", GEOMETRY_FAMILIES)
 def test_a_second_product_reads_its_term_supports_off_the_powers(monkeypatch, name):
-    import fuzzcyl.bijection as bijection
-
     def terms(name):
         alg = _geometry_case(name)[0]
         rng = np.random.default_rng(929)
@@ -359,9 +357,8 @@ def test_a_second_product_reads_its_term_supports_off_the_powers(monkeypatch, na
     alg, x, y = terms(name)
     first = x * y
     calls = []
-    shifted = Interval.shifted
-    monkeypatch.setattr(Interval, "shifted", lambda self, *args: calls.append(self) or shifted(self, *args))
-    monkeypatch.setattr(bijection, "image_monotone", lambda *args: calls.append(args) or image_monotone(*args))
+    image = Interval.image
+    monkeypatch.setattr(Interval, "image", lambda self, fn: calls.append(self) or image(self, fn))
     second = x * y
     assert calls == []  # each power keeps what it made of a support
     monkeypatch.undo()
@@ -408,7 +405,7 @@ def _chain_end_points(alg, x):
 
 
 # the shift on each carrier, and three maps that are not translations, whose
-# pullbacks take their supports from image_monotone
+# powers iterate the step
 DERIVATIVE_FAMILIES = {name: ("shift", interval, hbar, {}) for name, (interval, hbar) in CARRIERS.items()}
 DERIVATIVE_FAMILIES.update({
     "disc": ("poincare", UNIT, 0.3, {}),

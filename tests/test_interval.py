@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzcyl.interval import EMPTY, Interval, image_monotone
 
@@ -92,22 +92,6 @@ def test_image_monotone_shift_and_point():
     assert image_monotone(Interval.point(0.5), lambda x: 2 * x) == Interval.point(1.0)
 
 
-def test_shifted_is_the_translation_image():
-    one_ulp = Interval(0.5, math.nextafter(0.5, 1.0), True, True)
-    cases = [
-        (Interval(0.0, 1.0, True, False), 0.25),
-        (Interval.at_least(0.0), -0.25),
-        (Interval.at_most(1.0), 0.125),
-        (Interval.real_line(), 3.0),
-        (Interval.point(0.5), 0.1),
-        (one_ulp, 1.0),  # collapses to a point
-        (EMPTY, 1.0),
-    ]
-    for iv, c in cases:
-        assert iv.shifted(c) == image_monotone(iv, lambda x: np.asarray(x, dtype=float) + c)
-    assert one_ulp.shifted(1.0) == Interval.point(1.5)
-
-
 def test_image_monotone_rejects_non_monotone():
     with pytest.raises(ValueError):
         image_monotone(Interval.closed(-1.0, 1.0), lambda x: x * x)
@@ -189,13 +173,56 @@ def test_intersection_is_subset_of_both(a, b):
     assert a.subset_of(a.hull(b))
 
 
-@given(finite_intervals, st.floats(-10, 10, allow_nan=False))
-def test_shifted_matches_image_monotone(iv, c):
+def _affine(a, c):
+    return lambda x: a * np.asarray(x, dtype=float) + c
+
+
+def _cube(x):
+    return np.asarray(x, dtype=float) ** 3
+
+
+# strictly monotone maps on the intervals drawn with them: increasing and decreasing
+# affine maps, and x^3, increasing and not affine, on intervals of nonnegative numbers
+monotone_cases = st.one_of(
+    st.tuples(finite_intervals, st.builds(_affine, st.floats(0.125, 8) | st.floats(-8, -0.125),
+                                          st.floats(-10, 10, allow_nan=False))),
+    st.tuples(finite_intervals.filter(lambda iv: iv.lo >= 0.0), st.just(_cube)),
+)
+_ONE_ULP = Interval(0.5, math.nextafter(0.5, 1.0), True, True)
+
+
+@given(monotone_cases)
+@example((Interval(0.0, 1.0, True, False), _affine(1.0, 0.25)))
+@example((Interval.at_least(0.0), _affine(1.0, -0.25)))
+@example((Interval.at_most(1.0), _affine(-2.0, 0.125)))
+@example((Interval.real_line(), _affine(-1.0, 3.0)))
+@example((Interval.at_least(1.0), _cube))
+@example((Interval.point(0.5), _affine(1.0, 0.1)))
+@example((_ONE_ULP, _affine(1.0, 1.0)))  # both ends map to 1.5: the point [1.5, 1.5]
+@example((EMPTY, _affine(1.0, 1.0)))
+def test_image_is_the_sampled_image_read_off_the_ends(case):
+    iv, fn = case
     try:
-        want = image_monotone(iv, lambda x: np.asarray(x, dtype=float) + c)
-    except ValueError:  # sub-ulp images of a strictly increasing sample grid
+        want = image_monotone(iv, fn)
+    except ValueError:  # equal end images of an interval wide enough for a strictly increasing sample grid
         return
-    assert iv.shifted(c) == want
+    got = iv.image(fn)
+    assert got == want
+    if iv.is_empty:
+        assert got == EMPTY
+        return
+    # each end on its own: the image's ends are those floats, with the ends' flags
+    a, b = (float(fn(np.asarray(x, dtype=float))) for x in (iv.lo, iv.hi))
+    if a == b:
+        assert got == Interval.point(a)
+    else:
+        (lo, lo_c), (hi, hi_c) = sorted([(a, iv.lo_closed), (b, iv.hi_closed)], key=lambda end: end[0])
+        assert got == Interval(lo, hi, lo_c and math.isfinite(lo), hi_c and math.isfinite(hi))
+
+
+def test_image_of_a_nan_end_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        Interval.closed(-1.0, 1.0).image(lambda x: np.where(x < 0.0, np.nan, x))
 
 
 def test_intersect_and_hull_return_an_operand_that_is_the_result():

@@ -9,7 +9,8 @@ twice with `sys.settrace`, in child processes that install the tracer before
 - the product path: round 0 of each benchmark workload, built by
   `workloads.build(name, 1, "full", tmpdir)`, with every op run and checked;
   `cli.main` on every `workloads._cli_configs(seed, False)` config and format
-  for seeds 1-3; and `tests/test_acceptance.py`;
+  for seeds 1-3; and `tests/test_acceptance.py`, `tests/test_cli.py` and
+  `tests/test_cli_contract.py`, which drive the CLI as a user does;
 - tier-1: the whole test suite.
 
 A statement is any `ast` statement that is not a def, class, import or
@@ -32,6 +33,7 @@ import tempfile
 import time
 
 WORKLOADS = ("products", "matrix_models", "cli_reports")
+PRODUCT_TESTS = ("tests/test_acceptance.py", "tests/test_cli.py", "tests/test_cli_contract.py")
 CLASSES = ("product", "tier-1 only", "never")
 NOT_COUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom, ast.Global,
                ast.Nonlocal)
@@ -83,7 +85,7 @@ def _run_product_path(tree: str) -> int:
                 for fmt in formats:
                     cli.main([command, "--config", "config.json", "--out", f"report.{fmt}", "--format", fmt])
         os.chdir(tree)
-    return pytest.main(["-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"])
+    return pytest.main(["-q", "-p", "no:cacheprovider", *PRODUCT_TESTS])
 
 
 def _run_tier1(tree: str) -> int:
