@@ -92,6 +92,23 @@ def test_image_monotone_shift_and_point():
     assert image_monotone(Interval.point(0.5), lambda x: 2 * x) == Interval.point(1.0)
 
 
+def test_shifted_is_the_translation_image():
+    one_ulp = Interval(0.5, math.nextafter(0.5, 1.0), True, True)
+    cases = [
+        (Interval(0.0, 1.0, True, False), 0.25),
+        (Interval.at_least(0.0), -0.25),
+        (Interval.at_most(1.0), 0.125),
+        (Interval.real_line(), 3.0),
+        (Interval.point(0.5), 0.1),
+        (one_ulp, 1.0),  # collapses to a point
+        (EMPTY, 1.0),
+    ]
+    for iv, c in cases:
+        translate = lambda x: np.asarray(x, dtype=float) + c
+        assert iv.image(translate) == image_monotone(iv, translate)
+    assert one_ulp.image(lambda x: np.asarray(x, dtype=float) + 1.0) == Interval.point(1.5)
+
+
 def test_image_monotone_rejects_non_monotone():
     with pytest.raises(ValueError):
         image_monotone(Interval.closed(-1.0, 1.0), lambda x: x * x)
@@ -171,6 +188,16 @@ def test_intersection_is_subset_of_both(a, b):
     assert got.subset_of(a)
     assert got.subset_of(b)
     assert a.subset_of(a.hull(b))
+
+
+@given(finite_intervals, st.floats(-10, 10, allow_nan=False))
+def test_shifted_matches_image_monotone(iv, c):
+    translate = lambda x: np.asarray(x, dtype=float) + c
+    try:
+        want = image_monotone(iv, translate)
+    except ValueError:  # sub-ulp images of a strictly increasing sample grid
+        return
+    assert iv.image(translate) == want
 
 
 def _affine(a, c):
