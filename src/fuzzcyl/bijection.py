@@ -381,8 +381,9 @@ def make_family(
                 f"disc family needs step < {poincare_validity_bound():.6f}, got {hbar}"
             )
         if hbar > 0.0:
-            lo_valid = 1.0 - 2.0 * (_SQRT2 - 1.0) / hbar
-            if not interval.subset_of(Interval(lo_valid, math.inf, True, False), 1e-12):
+            # the radicand 1 + ht - h^2 t^2/4, t = u - 1, is negative outside its roots 2(1 -+ sqrt2)/h
+            real = Interval.closed(1.0 - 2.0 * (_SQRT2 - 1.0) / hbar, 1.0 + 2.0 * (_SQRT2 + 1.0) / hbar)
+            if not interval.subset_of(real, 1e-12):
                 raise ValueError("interval leaves the region where the disc map is real")
 
     if hbar == 0.0:

@@ -280,7 +280,7 @@ def _cmd_subalgebra(cfg: RunConfig) -> tuple[dict, bool]:
     for name, h in jobs:
         try:
             constants = poincare_constants(h) if name == "poincare" else None
-            setup = standard_setup(name, h, a=constants.edge if constants else None, grid_size=cfg.grid_size)
+            setup = standard_setup(name, h, grid_size=cfg.grid_size)
         except (ValueError, RuntimeError) as e:
             # RuntimeError: a self-check of the setup fails at this step, e.g. the
             # disc constants below h ~ 1e-8, where rounding exceeds the h^2 they are checked to

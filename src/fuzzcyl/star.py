@@ -205,7 +205,10 @@ def classical_limit_check(
     held fixed, so every row takes its sup over the same set; letting the
     window grow as h shrinks would fold window motion into the fitted order.
     The star commutator divided by -i*h is compared against the bracket of
-    the family's beta at the smallest step, to a relative error of 0.1. The
+    the family's beta at the smallest step, to a relative error of 0.1. A
+    defect that vanishes identically reports `fitted_order` None and passes
+    the order test; a zero bracket beside a nonzero commutator reports
+    `bracket_rel_err` None and fails the bracket test. The
     check is one evaluation pass, so each coefficient is evaluated once on
     the window.
     """
@@ -256,7 +259,7 @@ def classical_limit_check(
         fitted_order = float(np.polyfit(lx, ly, 1)[0])
         order_ok = ORDER_WINDOW[0] <= fitted_order <= ORDER_WINDOW[1]
     else:
-        fitted_order = math.inf  # defect vanished identically: faster than any power
+        fitted_order = None  # defect vanished identically: faster than any power
         order_ok = True
 
     x, y, prod = smallest
@@ -273,14 +276,15 @@ def classical_limit_check(
         bv = bracket.coefficient(n)(xs, memo)
         num = max(num, float(np.max(np.abs(cv / (-1j * h) - bv))))
         den = max(den, float(np.max(np.abs(bv))))
-    bracket_rel_err = num / den if den > 0 else (0.0 if num == 0 else math.inf)
+    bracket_rel_err = num / den if den > 0 else (0.0 if num == 0 else None)
+    bracket_ok = bracket_rel_err is not None and bracket_rel_err <= BRACKET_RTOL
 
     return {
         "rows": rows,
         "fitted_order": fitted_order,
         "order_ok": bool(order_ok),
         "bracket_rel_err": bracket_rel_err,
-        "bracket_ok": bool(bracket_rel_err <= BRACKET_RTOL),
+        "bracket_ok": bracket_ok,
         "beta_label": beta.label,
-        "pass": bool(order_ok and bracket_rel_err <= BRACKET_RTOL),
+        "pass": bool(order_ok and bracket_ok),
     }

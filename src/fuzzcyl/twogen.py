@@ -1,14 +1,15 @@
 """Two-generator subalgebras driven by a commutator profile.
 
 A profile C prescribes the commutator [A, A*] = h*C on the overlap region.
-The step map alpha is recovered from C by solving, point by point,
+The step map alpha that goes with it satisfies
 
     alpha(u) + (h/2) C(alpha(u)) = u - (h/2) C(u)
 
-on the range I of a chart J -> I. Pulled back through the chart it acts on
-J, and the generator A = sqrt(w) U lives in the crossed product over J, with
-weight w = chart + (h/2) C(chart); `assemble` derives all of this from the
-chart, the profile and h alone. The commutator and anticommutator then split
+on its domain; `assemble` takes alpha (a built-in profile's family map, or
+any map a custom profile brings, such as a `custom` family), refuses it if
+it breaks that equation, and builds the generator A = sqrt(w) U in the
+crossed product of the partial action alpha generates, with weight
+w = u + (h/2) C(u). The commutator and anticommutator then split
 into three regions (image-only, overlap, domain-only) with closed piecewise
 forms, which this module checks against the direct crossed-product
 computation. Boundary behaviour at the region seams decides whether the
@@ -23,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bijection import PartialBijection, identity_on, make_family, poincare_validity_bound
+from .bijection import PartialBijection, make_family, poincare_validity_bound
 from .bijection import _BETAS, _poincare_forward, _poincare_inverse
 from .crossed import CrossedProductAlgebra, CrossedProductElement
 from .functions import SupportedFunction, zero_function
-from .interval import Interval, image_monotone
+from .interval import Interval
 
 PROFILE_KINDS = ("plane_plus", "plane_minus", "poincare")
 
@@ -53,31 +54,6 @@ class CommutatorProfile:
         return CommutatorProfile(lambda u: -beta(u), name)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """A root of f on [lo, hi], to a bracket width or |f| of 1e-12, in at most 200 halvings."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        # a root within 1e-12 just past an end, e.g. an end that was itself found by bisection
-        end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
-        if abs(fend) <= 1e-12:
-            return end
-        raise ValueError(f"no bracket on [{lo}, {hi}] (f: {flo:.3g} .. {fhi:.3g})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo <= 1e-12:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def defining_equation_residual(
     action: PartialBijection, profile: CommutatorProfile, hbar: float, grid_size: int = 101
 ) -> float:
@@ -91,101 +67,18 @@ def defining_equation_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def solve_action_from_profile(profile: CommutatorProfile, interval: Interval, hbar: float) -> PartialBijection:
-    """Recover the step map from the commutator profile on the given interval.
-
-    Built-in profiles use their closed forms; anything else is solved by
-    bisection, which needs a finite interval to bracket on. Either way the
-    result is substituted back into the step equation before it is returned.
-    Both sample 101 points: monotonicity before, the residual after.
-    """
-    if hbar <= 0:
-        raise ValueError("step must be positive")
-    if profile.label in PROFILE_KINDS:
-        action = make_family(profile.label, interval, hbar).generator
-    else:
-        if not (math.isfinite(interval.lo) and math.isfinite(interval.hi)):
-            raise ValueError("custom profile needs a finite interval to bracket the solver")
-        lo, hi = interval.lo, interval.hi
-
-        def plus_side(t):
-            return t + 0.5 * hbar * float(profile.C(t))
-
-        def minus_side(t):
-            return t - 0.5 * hbar * float(profile.C(t))
-
-        ts = np.linspace(lo, hi, 101)
-        for side in (plus_side, minus_side):
-            vals = np.array([side(t) for t in ts])
-            if np.any(np.diff(vals) <= 0):
-                raise ValueError("profile makes the step equation non-monotone on this interval")
-
-        if minus_side(lo) >= plus_side(lo):
-            u_min = lo
-        elif minus_side(hi) < plus_side(lo):
-            raise ValueError("empty domain: the step equation has no solution on this interval")
-        else:
-            u_min = _bisect(lambda u: minus_side(u) - plus_side(lo), lo, hi)
-        if minus_side(hi) <= plus_side(hi):
-            u_max = hi
-        else:
-            u_max = _bisect(lambda u: minus_side(u) - plus_side(hi), lo, hi)
-        if u_min >= u_max:
-            raise ValueError("empty domain: the step equation has no solution on this interval")
-
-        def forward(us):
-            arr = np.asarray(us, dtype=float)
-            flat = [
-                _bisect(lambda x, r=minus_side(float(u)): plus_side(x) - r, lo, hi) for u in arr.ravel()
-            ]
-            return np.array(flat).reshape(arr.shape)
-
-        def inverse(xs):
-            arr = np.asarray(xs, dtype=float)
-            flat = [
-                _bisect(lambda u, r=plus_side(float(x)): minus_side(u) - r, lo, hi) for x in arr.ravel()
-            ]
-            return np.array(flat).reshape(arr.shape)
-
-        domain = Interval(u_min, u_max, interval.lo_closed, interval.hi_closed)
-        action = PartialBijection(interval, domain, image_monotone(domain, forward), forward, inverse)
-
-    residual = defining_equation_residual(action, profile, hbar)
-    if residual > 1e-10:
-        raise RuntimeError(f"recovered step map violates its defining equation by {residual:.3g}")
-    return action
-
-
-def conjugated_action(chart: PartialBijection, action: PartialBijection) -> PartialBijection:
-    """Pull the step map back through the chart; the result lives on J."""
-    J = chart.domain
-    cf, ci = chart.forward, chart.inverse
-    af, ai = action.forward, action.inverse
-    dom = image_monotone(action.domain.intersect(chart.range), ci)
-    rng = image_monotone(action.range.intersect(chart.range), ci)
-
-    def fwd(us):
-        return ci(af(cf(np.asarray(us, dtype=float))))
-
-    def inv(xs):
-        return ci(ai(cf(np.asarray(xs, dtype=float))))
-
-    return PartialBijection(J, dom, rng, fwd, inv)
-
-
 @dataclass(frozen=True)
 class TwoGenSetup:
-    """The crossed product over J = chart.domain, the generator A = sqrt(weight) U
-    with the chart and weight it was built from, the step map solved on the
-    chart's range, and the step-0 coefficients of AA*, A*A, [A, A*] and
-    (AA* + A*A)/2, each the zero function where its product has no step-0 term."""
+    """The crossed product over the step map's carrier J, the generator
+    A = sqrt(weight) U with the weight and profile it was built from, and the
+    step-0 coefficients of AA*, A*A, [A, A*] and (AA* + A*A)/2, each the zero
+    function where its product has no step-0 term. The step map itself is
+    `algebra.alpha`."""
 
     algebra: CrossedProductAlgebra
     generator: CrossedProductElement
-    chart: PartialBijection
     weight: SupportedFunction
     profile: CommutatorProfile
-    action: PartialBijection
     hbar: float
     grid_size: int
     weight_min: float
@@ -202,19 +95,21 @@ class TwoGenSetup:
         return self.weight_min >= -WEIGHT_TOL
 
 
-def assemble(chart: PartialBijection, profile: CommutatorProfile, hbar: float, grid_size: int = 101) -> TwoGenSetup:
-    """Solve the step map from the profile on the chart's range, pull it back to
-    J = chart.domain, and build the generator sqrt(weight) U with weight
-    chart + (h/2) C(chart) on J, together with its relation functions."""
-    J = chart.domain
-    if J.is_empty:
-        raise ValueError("chart has empty domain")
-    action = solve_action_from_profile(profile, chart.range, hbar)
-    alg = CrossedProductAlgebra(conjugated_action(chart, action))
+def assemble(action: PartialBijection, profile: CommutatorProfile, hbar: float, grid_size: int = 101) -> TwoGenSetup:
+    """Check the step map against the profile's step equation, then build the
+    generator sqrt(weight) U over the map's carrier J, with weight
+    u + (h/2) C(u), together with its relation functions."""
+    if hbar <= 0:
+        raise ValueError("step must be positive")
+    residual = defining_equation_residual(action, profile, hbar)
+    if not residual <= 1e-10:
+        raise ValueError(f"step map violates the profile's step equation by {residual:.3g}")
+    alg = CrossedProductAlgebra(action)
+    J = alg.carrier
 
     def weight_raw(us):
-        vals = chart.forward(np.asarray(us, dtype=float))
-        return vals + 0.5 * hbar * np.asarray(profile.C(vals), dtype=float)
+        us = np.asarray(us, dtype=float)
+        return us + 0.5 * hbar * np.asarray(profile.C(us), dtype=float)
 
     weight = SupportedFunction(support=J, raw=weight_raw, carrier=J)
 
@@ -233,7 +128,7 @@ def assemble(chart: PartialBijection, profile: CommutatorProfile, hbar: float, g
     k = int(np.argmin(wv)) if js.size else 0
     wmin = float(wv[k]) if js.size else 0.0
     wat = float(js[k]) if js.size else math.nan
-    return TwoGenSetup(alg, A, chart, weight, profile, action, hbar, grid_size, wmin, wat, *step0)
+    return TwoGenSetup(alg, A, weight, profile, hbar, grid_size, wmin, wat, *step0)
 
 
 def _region_pieces(alg: CrossedProductAlgebra):
@@ -247,14 +142,13 @@ def _region_pieces(alg: CrossedProductAlgebra):
 
 
 def _closed_forms(setup: TwoGenSetup, region: str, us: np.ndarray):
-    rho = setup.chart.forward(us)
-    c = np.asarray(setup.profile.C(rho), dtype=float)
+    c = np.asarray(setup.profile.C(us), dtype=float)
     h = setup.hbar
     if region == "only_plus":
-        return rho + 0.5 * h * c, 0.5 * (rho + 0.5 * h * c)
+        return us + 0.5 * h * c, 0.5 * (us + 0.5 * h * c)
     if region == "overlap":
-        return h * c, rho
-    return -rho + 0.5 * h * c, 0.5 * (rho - 0.5 * h * c)
+        return h * c, us
+    return -us + 0.5 * h * c, 0.5 * (us - 0.5 * h * c)
 
 
 def two_gen_relations(setup: TwoGenSetup) -> dict:
@@ -262,7 +156,7 @@ def two_gen_relations(setup: TwoGenSetup) -> dict:
 
     The computed side is the setup's step-0 coefficients, which come out of
     crossed-product arithmetic; the closed forms are evaluated independently
-    through the chart, to REGION_TOL = 1e-9 (OVERLAP_TOL = 1e-10 for the
+    from the profile, to REGION_TOL = 1e-9 (OVERLAP_TOL = 1e-10 for the
     overlap identity [A, A*] = h C). The report also records which region
     carries AA* and which carries A*A: each product vanishes on the exclusive
     region that lies outside its own support, not on the one inside it.
@@ -317,7 +211,7 @@ def two_gen_relations(setup: TwoGenSetup) -> dict:
         (on_support, off_support), "neither"
     )
 
-    eq_residual = defining_equation_residual(setup.action, profile, hbar, grid_size)
+    eq_residual = defining_equation_residual(setup.algebra.alpha, profile, hbar, grid_size)
     relations_pass = bool(
         all(r["pass"] for r in regions)
         and (overlap_identity is None or overlap_identity <= OVERLAP_TOL)
@@ -480,7 +374,9 @@ def poincare_constants(hbar: float) -> PoincareConstants:
 
 
 def standard_setup(name: str, hbar: float, a: float | None = None, grid_size: int = 101) -> TwoGenSetup:
-    """Reference setup: identity chart on the profile's natural interval."""
+    """Reference setup: the built-in family's step map on the profile's natural
+    interval, [a, 1] for the disc (a its weight root by default) and [a, inf)
+    for the planes (a = -h/2 by default)."""
     profile = CommutatorProfile.builtin(name)
     if name == "poincare":
         if a is None:
@@ -490,4 +386,4 @@ def standard_setup(name: str, hbar: float, a: float | None = None, grid_size: in
         if a is None:
             a = -0.5 * hbar
         interval = Interval.at_least(a)
-    return assemble(identity_on(interval), profile, hbar, grid_size)
+    return assemble(make_family(name, interval, hbar).generator, profile, hbar, grid_size)

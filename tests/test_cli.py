@@ -119,6 +119,15 @@ class TestAlgebraCheck:
         assert all(row["pass"] for row in d["covariance"]["steps"])
         assert max(row["conjugation_residual"] for row in d["covariance"]["steps"]) > 1.0
 
+    def test_no_base_point_and_empty_steps_leave_no_pairs(self, tmp_path):
+        # h = 0.6 on [0, 1] leaves D_2 and D_-2 empty, so random elements skip those steps;
+        # without a base point there is no representation, so no covariance and no pair rows
+        shift = {"family": {"kind": "shift", "interval": "[0, 1]", "hbar": 0.6}, "random_elements": 3, "seed": 2}
+        code, d = run_json(tmp_path, ["algebra-check", "--config", write_config(tmp_path, shift)])
+        assert code == 0
+        assert set(d) == {"config", "element_pairs", "relations"}
+        assert d["element_pairs"] == []
+
     def test_seed_gives_byte_identical_output(self, tmp_path):
         cfg = write_config(tmp_path, dict(SHIFT4, random_elements=3))
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
@@ -150,6 +159,21 @@ class TestPoissonLimit:
             cells = line.split(",")
             assert len(cells) == 4
             assert all("." in c for c in cells[1:])  # plain decimal point, no locale
+
+    def test_zero_bracket_reports_null_relative_error(self, tmp_path):
+        # x^2 does not move with h, so its Poisson coefficient (the map's step derivative) and the
+        # bracket are zero, while the commutator is not
+        square = {"kind": "custom", "interval": "[0, 1]", "hbar": 0.1, "forward": "x^2", "inverse": "sqrt(x)"}
+        elements = [
+            {"terms": {"1": {"type": "const", "value": 1.0}, "0": {"type": "poly", "coeffs": [0.5, 1.0]}}},
+            {"terms": {"0": {"type": "poly", "coeffs": [0.0, 0.0, 1.0]}, "-1": {"type": "const", "value": [0.0, 1.0]}}},
+        ]
+        cfg = write_config(tmp_path, {"family": square, "hbars": [0.1, 0.01], "elements": elements})
+        out = tmp_path / "out.json"
+        assert main(["poisson-limit", "--config", cfg, "--out", str(out)]) == 1
+        run = json.loads(out.read_text(), parse_constant=_not_strict_json)["runs"][0]
+        assert run["bracket_rel_err"] is None
+        assert not run["bracket_ok"] and not run["pass"]
 
     @pytest.mark.parametrize("hbar", ["nan", "inf"])
     def test_non_finite_step_is_config_error(self, tmp_path, capsys, hbar):

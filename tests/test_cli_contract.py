@@ -215,6 +215,22 @@ def test_overflowing_coefficient_exits_two(tmp_path, command):
     _one_error_line(err)
 
 
+# the disc map's square root is not real far out on the half-line: refused before it is evaluated there
+DISC_HALF_LINE = {"family": {"kind": "poincare", "interval": "[0, inf)", "hbar": 0.25}, "base_point": 0.5}
+
+
+def test_disc_on_the_half_line_leaves_only_the_json_error(tmp_path):
+    cfg_path = tmp_path / "disc.cfg.json"
+    cfg_path.write_text(json.dumps(DISC_HALF_LINE))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["orbit", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _one_error_line(err)
+    assert json.loads(err.getvalue())["context"]["detail"] == "interval leaves the region where the disc map is real"
+
+
 # JSON reads 1e309 as inf; a literal past the float range is a refused config
 NON_FINITE = {"const": '{"type": "const", "value": 1e309}', "poly": '{"type": "poly", "coeffs": [0.5, [1.0, -1e309]]}',
               "exp_wave": '{"type": "exp_wave", "k": 1e309}', "sqrt_affine": '{"type": "sqrt_affine", "a": 1.0, "b": -1e309}'}

@@ -199,7 +199,7 @@ class TestClassicalLimit:
         report = classical_limit_check(f, g, fam, [0.1, 0.01, 0.001])
         assert report["pass"], report
         assert all(r["residual"] <= 1e-12 for r in report["rows"])
-        assert report["fitted_order"] == math.inf
+        assert report["fitted_order"] is None
 
     def test_shift_quadratic_pair_fits_order_one(self):
         fam = make_family("shift", UNIT, 0.1)

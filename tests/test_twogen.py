@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzcyl.bijection import PartialBijection, identity_on, poincare_validity_bound
+from fuzzcyl.bijection import make_family, poincare_validity_bound
 from fuzzcyl.functions import polynomial, pullback
 from fuzzcyl.interval import Interval
 from fuzzcyl.twogen import (
@@ -13,7 +13,6 @@ from fuzzcyl.twogen import (
     boundary_continuity_check,
     defining_equation_residual,
     poincare_constants,
-    solve_action_from_profile,
     standard_setup,
     two_gen_relations,
 )
@@ -31,46 +30,65 @@ class TestProfiles:
             CommutatorProfile.builtin("sphere")
 
 
+DISC = CommutatorProfile.builtin("poincare")
+
+# each custom profile C with the step map that solves its step equation, as a
+# custom family's forward and inverse expressions
+CUSTOM_PROFILES = {
+    "linear": (lambda u: np.asarray(u, dtype=float), "x*(2-h)/(2+h)", "x*(2+h)/(2-h)"),
+    "negative": (lambda u: -np.ones_like(np.asarray(u, dtype=float)), "x + h", "x - h"),
+    "half_slope": (
+        lambda u: 1.0 + 0.5 * np.asarray(u, dtype=float),
+        "(x*(1-h/4) - h)/(1+h/4)",
+        "(x*(1+h/4) + h)/(1-h/4)",
+    ),
+}
+
+
+def custom_setup(label, interval, h):
+    C, forward, inverse = CUSTOM_PROFILES[label]
+    fam = make_family("custom", interval, h, forward=forward, inverse=inverse)
+    return assemble(fam.generator, CommutatorProfile(C, label), h)
+
+
 class TestSolveAction:
     def test_plane_plus_is_down_shift(self):
         h = 0.1
-        act = solve_action_from_profile(CommutatorProfile.builtin("plane_plus"), Interval.at_least(-h / 2), h)
+        act = standard_setup("plane_plus", h).algebra.alpha
         assert act.domain.close_to(Interval.at_least(h / 2))
         assert act.range.close_to(Interval.at_least(-h / 2))
         us = np.array([0.05, 1.0, 7.0])
         assert np.allclose(act.forward(us), us - h, atol=1e-14)
 
     def test_disc_fixes_one(self):
-        act = solve_action_from_profile(CommutatorProfile.builtin("poincare"), Interval.closed(-0.02, 1.0), 0.1)
-        assert abs(float(act.forward(np.array([1.0]))[0]) - 1.0) <= 1e-9
+        h = 0.1
+        setup = assemble(make_family("poincare", Interval.closed(-0.02, 1.0), h).generator, DISC, h)
+        assert abs(float(setup.algebra.alpha.forward(np.array([1.0]))[0]) - 1.0) <= 1e-9
 
     def test_disc_validity_bound(self):
         with pytest.raises(ValueError):
-            solve_action_from_profile(CommutatorProfile.builtin("poincare"), Interval.closed(0.0, 1.0), 0.9)
+            assemble(make_family("poincare", Interval.closed(0.0, 1.0), 0.9).generator, DISC, 0.9)
 
     def test_custom_linear_profile(self):
         h = 0.01
-        prof = CommutatorProfile(lambda u: np.asarray(u, dtype=float), "linear")
-        act = solve_action_from_profile(prof, Interval.closed(0.0, 1.0), h)
-        assert defining_equation_residual(act, prof, h) <= 1e-10
+        setup = custom_setup("linear", Interval.closed(0.0, 1.0), h)
+        act = setup.algebra.alpha
+        assert defining_equation_residual(act, setup.profile, h) <= 1e-10
         us = np.linspace(0.0, 1.0, 11)
         # x + (h/2)x = u - (h/2)u has the closed solution x = u(2-h)/(2+h)
         assert np.max(np.abs(act.forward(us) - us * (2 - h) / (2 + h))) <= 1e-9
 
-    def test_custom_needs_finite_interval(self):
-        prof = CommutatorProfile(lambda u: np.asarray(u, dtype=float), "linear")
-        with pytest.raises(ValueError):
-            solve_action_from_profile(prof, Interval.at_least(0.0), 0.01)
+    def test_refuses_a_map_off_the_step_equation(self):
+        # the up-shift x + h breaks x + h/2 = u - h/2 everywhere, by 2h
+        h = 0.1
+        shift = make_family("shift", Interval.at_least(0.0), h).generator
+        with pytest.raises(ValueError, match="by 0.2"):
+            assemble(shift, CommutatorProfile.builtin("plane_plus"), h)
 
     def test_step_must_be_positive(self):
+        identity = make_family("plane_plus", Interval.at_least(0.0), 0.0).generator
         with pytest.raises(ValueError):
-            solve_action_from_profile(CommutatorProfile.builtin("plane_plus"), Interval.at_least(0.0), 0.0)
-
-
-CUSTOM_PROFILES = {
-    "linear": lambda u: np.asarray(u, dtype=float),
-    "negative": lambda u: -np.ones_like(np.asarray(u, dtype=float)),
-}
+            assemble(identity, CommutatorProfile.builtin("plane_plus"), 0.0)
 
 
 class TestRelations:
@@ -122,16 +140,7 @@ class TestRelations:
     def test_shifted_chart_keeps_relations_and_validity(self):
         # same profile that fails on its natural interval is fine once the
         # interval sits above the weight's root
-        h = 0.1
-        prof = CommutatorProfile.builtin("plane_minus")
-        I = Interval.at_least(1.0)
-        J = Interval.at_least(0.0)
-        chart = PartialBijection(
-            Interval.at_least(0.0), J, I,
-            lambda u: np.asarray(u, dtype=float) + 1.0,
-            lambda x: np.asarray(x, dtype=float) - 1.0,
-        )
-        report = two_gen_relations(assemble(chart, prof, h))
+        report = two_gen_relations(standard_setup("plane_minus", 0.1, a=1.0))
         assert report["pass"], report
         assert report["valid_generator"]
         names = {r["region"] for r in report["regions"]}
@@ -141,10 +150,7 @@ class TestRelations:
         ("linear", 0.1), ("linear", 0.01), ("negative", 0.1), ("negative", 0.05), ("negative", 0.01),
     ])
     def test_custom_profiles_assemble(self, label, h):
-        # the solved inverse is evaluated at a range end that bisection found only to
-        # its tolerance, so the root there lies just past the bracket
-        prof, I = CommutatorProfile(CUSTOM_PROFILES[label], label), Interval.closed(0.0, 1.0)
-        report = two_gen_relations(assemble(identity_on(I), prof, h))
+        report = two_gen_relations(custom_setup(label, Interval.closed(0.0, 1.0), h))
         assert report["relations_pass"], report
         assert report["max_residual"] <= 1e-11
 
@@ -152,13 +158,12 @@ class TestRelations:
         # w = u + (h/2)(1 + u/2) is -h^2/8 at u = -h/2: on [-h/2, 2] the sqrt clip
         # breaks the relations, on [0, 2] the weight stays positive and they close
         h = 0.1
-        prof = CommutatorProfile(lambda u: 1.0 + 0.5 * np.asarray(u, dtype=float))
-        below = two_gen_relations(assemble(identity_on(Interval.closed(-h / 2, 2.0)), prof, h))
+        below = two_gen_relations(custom_setup("half_slope", Interval.closed(-h / 2, 2.0), h))
         assert below["weight_min"] == pytest.approx(-h * h / 8, abs=1e-12)
         assert below["weight_argmin"] == pytest.approx(-h / 2, abs=1e-12)
         assert not below["valid_generator"]
         assert not below["relations_pass"]
-        above = two_gen_relations(assemble(identity_on(Interval.closed(0.0, 2.0)), prof, h))
+        above = two_gen_relations(custom_setup("half_slope", Interval.closed(0.0, 2.0), h))
         assert above["pass"], above
         assert above["max_residual"] <= 1e-11
 
@@ -247,19 +252,12 @@ class TestBoundary:
 
     def test_shifted_chart_jump_case(self):
         h = 0.1
-        prof = CommutatorProfile.builtin("plane_minus")
-        I = Interval.at_least(1.0)
-        chart = PartialBijection(
-            Interval.at_least(0.0), Interval.at_least(0.0), I,
-            lambda u: np.asarray(u, dtype=float) + 1.0,
-            lambda x: np.asarray(x, dtype=float) - 1.0,
-        )
-        report = boundary_continuity_check(assemble(chart, prof, h))
+        report = boundary_continuity_check(standard_setup("plane_minus", h, a=1.0))
         assert report["valid_generator"]
         case = report["cases"]["only_minus"]
         assert case["applies"]
-        assert case["u0"] == pytest.approx(0.0, abs=1e-12)
-        assert case["u1"] == pytest.approx(h, abs=1e-12)
+        assert case["u0"] == pytest.approx(1.0, abs=1e-12)
+        assert case["u1"] == pytest.approx(1.0 + h, abs=1e-12)
         comm = case["commutator"]
         assert not comm["zero_at_u0"]
         assert not comm["continuous_at_u1"]
@@ -297,6 +295,6 @@ class TestDiscConstants:
     def test_setup_regions_match_constants(self):
         h = 0.1
         c = poincare_constants(h)
-        act = standard_setup("poincare", h).action
+        act = standard_setup("poincare", h).algebra.alpha
         assert act.domain.lo == pytest.approx(c.edge_preimage, abs=1e-9)
         assert act.range.lo == pytest.approx(c.edge, abs=1e-9)
